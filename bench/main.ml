@@ -1,43 +1,25 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (see lib/harness/experiments.mli) and runs Bechamel
-   wall-clock microbenchmarks of the core operations.
+   evaluation (see lib/harness/experiments.mli), runs Bechamel
+   microbenchmarks of the core operations, and runs the repo's bench
+   scenarios, each of which returns a Report.t that Report.emit writes
+   to BENCH_<scenario>.json at the repository root and gates on.
 
-   Usage:
-     main.exe              run every experiment, then the microbenches
-     main.exe fig1 table2  run selected experiments (ids from --list)
-     main.exe micro        run only the microbenches
-     main.exe resurrection run the resurrection-overhead scenario
-                           (writes bench/out/BENCH_resurrection.json,
-                           plus the historical root copy)
-     main.exe obs          measure the cost of the disabled observability
-                           hooks (writes bench/out/BENCH_obs_overhead.json)
-     main.exe obs-gate     same measurement; exit 1 if overhead > 3%
-     main.exe fleet        run the multi-tenant fleet chaos scenario
-                           (writes bench/out/BENCH_fleet.json, plus a
-                           root copy; exit 1 if any tenant sees a
-                           verifier failure or crash)
-     main.exe --list       list experiment ids
-
-   JSON results land under bench/out/; BENCH_resurrection.json is also
-   kept at the repository root because earlier tooling reads it there. *)
+   `main.exe --list` names every id; `main.exe ID...` runs the named
+   ones; `main.exe` with no argument runs them all. `--csv DIR`
+   anywhere on the command line also writes the key tables and series
+   as CSV files into DIR. *)
 
 open Bechamel
 open Toolkit
+module Json = Lp_obs.Json
 
-(* ------------------------------------------------------------------ *)
-(* Output convention: every JSON result is written under bench/out/. *)
+let int = Report.int
+let fixed = Report.fixed
+let str = Report.str
 
-let out_dir = "bench/out"
-
-let out_path name =
-  (try Sys.mkdir "bench" 0o755 with Sys_error _ -> ());
-  (try Sys.mkdir out_dir 0o755 with Sys_error _ -> ());
-  Filename.concat out_dir name
-
-let write_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc
+(* [key]'s number in a row built from the helpers above. *)
+let number key row =
+  match List.assoc key row with Json.Number f -> f | _ -> 0.0
 
 (* ------------------------------------------------------------------ *)
 (* Microbenchmarks: one Test.make per table/figure family, measuring
@@ -139,9 +121,8 @@ let microbenches =
       test_paper_example;
     ]
 
-let run_microbenches () =
-  Lp_harness.Render.header "Microbenchmarks"
-    "Bechamel wall-clock cost of core operations";
+
+let micro () =
   let cfg =
     Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
   in
@@ -151,19 +132,19 @@ let run_microbenches () =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
   in
   let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols ->
-      let ns =
-        match Analyze.OLS.estimates ols with
-        | Some [ est ] -> Printf.sprintf "%.1f" est
-        | Some _ | None -> "n/a"
-      in
-      rows := [ name; ns ] :: !rows)
-    results;
-  Lp_harness.Render.table
-    ~columns:[ "operation"; "ns/run" ]
-    ~rows:(List.sort compare !rows)
+  let cases =
+    Hashtbl.fold
+      (fun name ols rows ->
+        let ns =
+          match Analyze.OLS.estimates ols with
+          | Some [ est ] -> fixed 1 est
+          | Some _ | None -> Json.Null
+        in
+        [ ("operation", str name); ("ns_per_run", ns) ] :: rows)
+      results []
+  in
+  { Report.scenario = "micro"; benchmark = "micro"; host = Report.host;
+    fields = []; cases = List.sort compare cases; gates = [] }
 
 (* ------------------------------------------------------------------ *)
 (* Resurrection-overhead scenario: a deterministic leak → prune →
@@ -235,97 +216,46 @@ let run_resurrection_round () =
   drain 500;
   (vm, Lp_runtime.Vm.cycles vm - cycles_before, !lost)
 
-let run_resurrection_bench () =
-  Lp_harness.Render.header "Resurrection overhead"
-    "deterministic leak/prune/recover rounds; baseline in \
-     BENCH_resurrection.json";
+let resurrection () =
   let t0 = Sys.time () in
-  let resurrections = ref 0
-  and failures = ref 0
-  and repoisoned = ref 0
-  and poisoned = ref 0
-  and image_writes = ref 0
-  and image_drops = ref 0
-  and collections = ref 0
-  and recover_cycles = ref 0
-  and total_cycles = ref 0
-  and gc_cycles = ref 0
-  and safe_entries = ref 0
-  and mispredictions = ref 0
-  and unrecoverable = ref 0 in
-  for _round = 1 to resurrection_rounds do
-    let vm, rc, lost = run_resurrection_round () in
-    let st = Lp_runtime.Vm.stats vm in
-    let swap = Lp_runtime.Vm.swap vm in
-    let ctl = Lp_runtime.Vm.controller vm in
-    resurrections := !resurrections + st.Lp_heap.Gc_stats.resurrections;
-    failures := !failures + st.Lp_heap.Gc_stats.resurrection_failures;
-    repoisoned := !repoisoned + st.Lp_heap.Gc_stats.words_repoisoned;
-    poisoned := !poisoned + st.Lp_heap.Gc_stats.references_poisoned;
-    image_writes := !image_writes + Lp_runtime.Diskswap.image_writes swap;
-    image_drops := !image_drops + Lp_runtime.Diskswap.image_drops swap;
-    collections := !collections + st.Lp_heap.Gc_stats.collections;
-    recover_cycles := !recover_cycles + rc;
-    total_cycles := !total_cycles + Lp_runtime.Vm.cycles vm;
-    gc_cycles := !gc_cycles + Lp_runtime.Vm.gc_cycles vm;
-    safe_entries := !safe_entries + Lp_core.Controller.safe_entries ctl;
-    mispredictions := !mispredictions + Lp_core.Controller.mispredictions ctl;
-    unrecoverable := !unrecoverable + lost
-  done;
+  let rounds = List.init resurrection_rounds (fun _ -> run_resurrection_round ()) in
   let cpu_s = Sys.time () -. t0 in
-  let per_res v =
-    if !resurrections = 0 then 0.0
-    else float_of_int v /. float_of_int !resurrections
+  let sum f = List.fold_left (fun acc r -> acc + f r) 0 rounds in
+  let per_vm f = sum (fun (vm, _, _) -> f vm) in
+  let stat f = per_vm (fun vm -> f (Lp_runtime.Vm.stats vm)) in
+  let resurrections = stat (fun s -> s.Lp_heap.Gc_stats.resurrections) in
+  let recover_cycles = sum (fun (_, rc, _) -> rc) in
+  let cycles_per_resurrection =
+    if resurrections = 0 then 0.0
+    else float_of_int recover_cycles /. float_of_int resurrections
   in
-  let cycles_per_resurrection = per_res !recover_cycles in
-  let json =
-    Printf.sprintf
-      {|{
-  "benchmark": "resurrection",
-  "rounds": %d,
-  "collections": %d,
-  "references_poisoned": %d,
-  "resurrections": %d,
-  "resurrection_failures": %d,
-  "words_repoisoned": %d,
-  "unrecoverable_accesses": %d,
-  "image_writes": %d,
-  "image_drops": %d,
-  "mispredictions": %d,
-  "safe_entries": %d,
-  "cycles_total": %d,
-  "cycles_gc": %d,
-  "cycles_recovery": %d,
-  "cycles_per_resurrection": %.1f,
-  "cpu_seconds": %.3f
-}
-|}
-      resurrection_rounds !collections !poisoned !resurrections !failures
-      !repoisoned !unrecoverable !image_writes !image_drops !mispredictions
-      !safe_entries
-      !total_cycles !gc_cycles !recover_cycles cycles_per_resurrection cpu_s
-  in
-  let path = out_path "BENCH_resurrection.json" in
-  write_file path json;
-  (* historical root copy: earlier tooling reads the baseline here *)
-  write_file "BENCH_resurrection.json" json;
-  Lp_harness.Render.table
-    ~columns:[ "metric"; "value" ]
-    ~rows:
-      [
-        [ "rounds"; string_of_int resurrection_rounds ];
-        [ "references poisoned"; string_of_int !poisoned ];
-        [ "resurrections"; string_of_int !resurrections ];
-        [ "resurrection failures"; string_of_int !failures ];
-        [ "words re-poisoned at restore"; string_of_int !repoisoned ];
-        [ "unrecoverable accesses"; string_of_int !unrecoverable ];
-        [ "swap-image writes"; string_of_int !image_writes ];
-        [ "mispredictions reported"; string_of_int !mispredictions ];
-        [ "SAFE-mode entries"; string_of_int !safe_entries ];
-        [ "recovery cycles / resurrection";
-          Printf.sprintf "%.1f" cycles_per_resurrection ];
-      ];
-  Printf.printf "wrote %s (and root copy BENCH_resurrection.json)\n" path
+  let open Lp_runtime in
+  { Report.scenario = "resurrection"; benchmark = "resurrection";
+    host = Report.host;
+    fields =
+      [ ("rounds", int resurrection_rounds);
+        ("collections", int (stat (fun s -> s.Lp_heap.Gc_stats.collections)));
+        ( "references_poisoned",
+          int (stat (fun s -> s.Lp_heap.Gc_stats.references_poisoned)) );
+        ("resurrections", int resurrections);
+        ( "resurrection_failures",
+          int (stat (fun s -> s.Lp_heap.Gc_stats.resurrection_failures)) );
+        ( "words_repoisoned",
+          int (stat (fun s -> s.Lp_heap.Gc_stats.words_repoisoned)) );
+        ("unrecoverable_accesses", int (sum (fun (_, _, lost) -> lost)));
+        ( "image_writes",
+          int (per_vm (fun vm -> Diskswap.image_writes (Vm.swap vm))) );
+        ("image_drops", int (per_vm (fun vm -> Diskswap.image_drops (Vm.swap vm))));
+        ( "mispredictions",
+          int (per_vm (fun vm -> Lp_core.Controller.mispredictions (Vm.controller vm))) );
+        ( "safe_entries",
+          int (per_vm (fun vm -> Lp_core.Controller.safe_entries (Vm.controller vm))) );
+        ("cycles_total", int (per_vm Vm.cycles));
+        ("cycles_gc", int (per_vm Vm.gc_cycles));
+        ("cycles_recovery", int recover_cycles);
+        ("cycles_per_resurrection", fixed 1 cycles_per_resurrection);
+        ("cpu_seconds", fixed 3 cpu_s) ];
+    cases = []; gates = [] }
 
 (* ------------------------------------------------------------------ *)
 (* Disabled-observability overhead: DESIGN.md budgets the event hooks at
@@ -482,10 +412,7 @@ let median xs =
 
 let ns_per_read s = s *. 1e9 /. float_of_int obs_reads_per_sample
 
-let run_obs_overhead_bench ~gate () =
-  Lp_harness.Render.header "Disabled-observability overhead"
-    "Mutator.read with sink = None vs a replica of the pre-observability \
-     barrier; budget 3%";
+let obs_overhead ~enforce () =
   let vm, obj = barrier_vm () in
   assert (Lp_runtime.Vm.sink vm = None);
   let instrumented () = Lp_runtime.Mutator.read vm obj 0 in
@@ -526,69 +453,42 @@ let run_obs_overhead_bench ~gate () =
     Float.max 0.0 ((mixed_delta -. fast_delta) /. mb *. 100.0)
   in
   let budget = 3.0 in
-  let pass = mixed_pct <= budget in
-  let json =
-    Printf.sprintf
-      {|{
-  "benchmark": "obs_disabled_overhead",
-  "reads_per_sample": %d,
-  "pairs": %d,
-  "cold_period": %d,
-  "fast_ns_baseline": %.2f,
-  "fast_ns_instrumented": %.2f,
-  "fast_delta_pct": %.2f,
-  "cold_ns_baseline": %.2f,
-  "cold_ns_instrumented": %.2f,
-  "cold_delta_pct": %.2f,
-  "mixed_ns_baseline": %.2f,
-  "mixed_ns_instrumented": %.2f,
-  "guard_ns": %.2f,
-  "guard_cold_path_pct": %.2f,
-  "mixed_overhead_pct": %.2f,
-  "budget_pct": %.1f,
-  "pass": %b
-}
-|}
-      obs_reads_per_sample obs_pairs obs_cold_period (ns_per_read fb)
-      (ns_per_read fi) fast_pct (ns_per_read cb) (ns_per_read ci) cold_pct
-      (ns_per_read mb) (ns_per_read mi) guard_ns guard_cold_pct mixed_pct
-      budget pass
+  let verdict =
+    if not enforce then
+      Report.Disarmed
+        (Printf.sprintf
+           "enforced by obs-gate; mixed-stream overhead here %.2f%% against \
+            the %.1f%% budget"
+           mixed_pct budget)
+    else if mixed_pct <= budget then Report.Pass
+    else
+      Report.Fail
+        (Printf.sprintf
+           "disabled-observability overhead on the mixed read stream is \
+            %.2f%%, over the %.1f%% budget (fast delta %+.2f%%, cold delta \
+            %+.2f%%, guard %+.2f ns)"
+           mixed_pct budget fast_pct cold_pct guard_ns)
   in
-  let path = out_path "BENCH_obs_overhead.json" in
-  write_file path json;
-  Lp_harness.Render.table
-    ~columns:[ "path"; "baseline ns/read"; "instrumented ns/read"; "overhead" ]
-    ~rows:
-      [
-        [ "fast (clean ref)";
-          Printf.sprintf "%.2f" (ns_per_read fb);
-          Printf.sprintf "%.2f" (ns_per_read fi);
-          Printf.sprintf "%+.2f%%" fast_pct ];
-        [ "cold (untouched ref)";
-          Printf.sprintf "%.2f" (ns_per_read cb);
-          Printf.sprintf "%.2f" (ns_per_read ci);
-          Printf.sprintf "%+.2f%%" cold_pct ];
-        [ Printf.sprintf "mixed (1 cold per %d)" obs_cold_period;
-          Printf.sprintf "%.2f" (ns_per_read mb);
-          Printf.sprintf "%.2f" (ns_per_read mi);
-          Printf.sprintf "%.2f%%" mixed_pct ];
-      ];
-  Printf.printf
-    "sink guard: %+.2f ns per cold read (%.2f%% of the cold path); mixed-stream \
-     overhead %.2f%% (budget %.1f%%)\n"
-    guard_ns guard_cold_pct mixed_pct budget;
-  Printf.printf "wrote %s\n" path;
-  if gate then
-    if pass then
-      Printf.printf "obs-gate: PASS (%.2f%% <= %.1f%%)\n" mixed_pct budget
-    else begin
-      Printf.eprintf
-        "obs-gate: FAIL — disabled-observability overhead on the mixed read \
-         stream is %.2f%%, over the %.1f%% budget (fast delta %+.2f%%, cold \
-         delta %+.2f%%, guard %+.2f ns)\n"
-        mixed_pct budget fast_pct cold_pct guard_ns;
-      exit 1
-    end
+  { Report.scenario = "obs_overhead"; benchmark = "obs_disabled_overhead";
+    host = Report.host;
+    fields =
+      [ ("reads_per_sample", int obs_reads_per_sample);
+        ("pairs", int obs_pairs);
+        ("cold_period", int obs_cold_period);
+        ("fast_ns_baseline", fixed 2 (ns_per_read fb));
+        ("fast_ns_instrumented", fixed 2 (ns_per_read fi));
+        ("fast_delta_pct", fixed 2 fast_pct);
+        ("cold_ns_baseline", fixed 2 (ns_per_read cb));
+        ("cold_ns_instrumented", fixed 2 (ns_per_read ci));
+        ("cold_delta_pct", fixed 2 cold_pct);
+        ("mixed_ns_baseline", fixed 2 (ns_per_read mb));
+        ("mixed_ns_instrumented", fixed 2 (ns_per_read mi));
+        ("guard_ns", fixed 2 guard_ns);
+        ("guard_cold_path_pct", fixed 2 guard_cold_pct);
+        ("mixed_overhead_pct", fixed 2 mixed_pct);
+        ("budget_pct", fixed 1 budget) ];
+    cases = [];
+    gates = [ ("pass", verdict) ] }
 
 (* ------------------------------------------------------------------ *)
 (* Parallel-GC speedup sweep: jbb_mod and swap_leak collected over a
@@ -664,11 +564,7 @@ let run_parallel_gc_case w (gc_domains, gc_steal) =
     pg_steals = steals;
   }
 
-let run_parallel_gc_bench () =
-  Lp_harness.Render.header "Parallel collection"
-    "mark throughput, pause and coordination overhead over {1,2,4} domains \
-     x steal {off,on}; results in BENCH_parallel_gc.json";
-  let host_cores = Domain.recommended_domain_count () in
+let parallel_gc () =
   let cases =
     List.concat_map
       (fun w -> List.map (run_parallel_gc_case w) parallel_gc_schedules)
@@ -679,15 +575,19 @@ let run_parallel_gc_bench () =
       (fun b -> b.pg_workload = c.pg_workload && b.pg_domains = 1)
       cases
   in
+  let cell c =
+    Printf.sprintf "%s@%d/steal-%b" c.pg_workload c.pg_domains c.pg_steal
+  in
   (* Gate 1 -- equivalence across the whole matrix: same collections,
      same reclaimed bytes, same fields scanned in every cell. *)
-  let deterministic =
-    List.for_all
+  let diverged =
+    List.filter
       (fun c ->
         let b = base c in
-        c.pg_gc_count = b.pg_gc_count
-        && c.pg_bytes_reclaimed = b.pg_bytes_reclaimed
-        && c.pg_fields_scanned = b.pg_fields_scanned)
+        not
+          (c.pg_gc_count = b.pg_gc_count
+          && c.pg_bytes_reclaimed = b.pg_bytes_reclaimed
+          && c.pg_fields_scanned = b.pg_fields_scanned))
       cases
   in
   (* Gate 2 -- coordination overhead, a deterministic count ratio: at
@@ -733,109 +633,70 @@ let run_parallel_gc_bench () =
     if c.pg_mark_ns = 0 then 0.0
     else float_of_int b.pg_mark_ns /. float_of_int c.pg_mark_ns
   in
-  let speedup_armed = host_cores >= 4 in
-  let speedup_cells =
-    List.filter (fun c -> c.pg_domains = 4 && c.pg_steal) cases
-  in
-  let speedup_ok =
-    (not speedup_armed)
-    || List.for_all (fun c -> speedup c > 1.0) speedup_cells
+  let host_cores = Report.host.Report.cores in
+  let slow_cells =
+    List.filter
+      (fun c -> c.pg_domains = 4 && c.pg_steal && speedup c <= 1.0)
+      cases
   in
   let throughput c =
     if c.pg_mark_ns = 0 then 0.0
     else float_of_int c.pg_fields_scanned /. (float_of_int c.pg_mark_ns /. 1e9)
   in
-  let case_json c =
-    Printf.sprintf
-      {|    { "workload": %S, "gc_domains": %d, "steal": %b,
-      "collections": %d, "bytes_reclaimed": %d, "fields_scanned": %d,
-      "mark_ns": %d, "total_pause_ns": %d, "pooled_rounds": %d,
-      "pool_dispatches": %d, "steals": %d, "coordination_ratio": %.3f,
-      "mark_fields_per_s": %.0f, "mark_speedup_vs_1": %.3f }|}
-      c.pg_workload c.pg_domains c.pg_steal c.pg_gc_count
-      c.pg_bytes_reclaimed c.pg_fields_scanned c.pg_mark_ns c.pg_pause_ns
-      c.pg_pooled_rounds c.pg_dispatches c.pg_steals (coord_ratio c)
-      (throughput c) (speedup c)
+  let case_row c =
+    [ ("workload", str c.pg_workload);
+      ("gc_domains", int c.pg_domains);
+      ("steal", Json.Bool c.pg_steal);
+      ("collections", int c.pg_gc_count);
+      ("bytes_reclaimed", int c.pg_bytes_reclaimed);
+      ("fields_scanned", int c.pg_fields_scanned);
+      ("mark_ns", int c.pg_mark_ns);
+      ("total_pause_ns", int c.pg_pause_ns);
+      ("pooled_rounds", int c.pg_pooled_rounds);
+      ("pool_dispatches", int c.pg_dispatches);
+      ("steals", int c.pg_steals);
+      ("coordination_ratio", fixed 3 (coord_ratio c));
+      ("mark_fields_per_s", fixed 0 (throughput c));
+      ("mark_speedup_vs_1", fixed 3 (speedup c)) ]
   in
-  let json =
-    Printf.sprintf
-      {|{
-  "benchmark": "parallel_gc",
-  "host_cores": %d,
-  "deterministic_across_schedules": %b,
-  "coordination_gate": %b,
-  "speedup_gate_armed": %b,
-  "speedup_gate": %b,
-  "cases": [
-%s
-  ]
-}
-|}
-      host_cores deterministic coord_ok speedup_armed speedup_ok
-      (String.concat ",\n" (List.map case_json cases))
-  in
-  let path = out_path "BENCH_parallel_gc.json" in
-  write_file path json;
-  write_file "BENCH_parallel_gc.json" json;
-  Lp_harness.Render.table
-    ~columns:
-      [ "workload"; "domains"; "steal"; "gcs"; "mark ms"; "fields/s";
-        "speedup"; "rounds"; "dispatches"; "steals" ]
-    ~rows:
-      (List.map
-         (fun c ->
-           [
-             c.pg_workload;
-             string_of_int c.pg_domains;
-             (if c.pg_domains = 1 then "-"
-              else if c.pg_steal then "on"
-              else "off");
-             string_of_int c.pg_gc_count;
-             Printf.sprintf "%.2f" (float_of_int c.pg_mark_ns /. 1e6);
-             Printf.sprintf "%.2e" (throughput c);
-             Printf.sprintf "%.2fx" (speedup c);
-             string_of_int c.pg_pooled_rounds;
-             string_of_int c.pg_dispatches;
-             string_of_int c.pg_steals;
-           ])
-         cases);
-  Printf.printf
-    "host cores: %d; outputs %s across the schedule matrix\n" host_cores
-    (if deterministic then "IDENTICAL" else "DIVERGED (engine bug!)");
-  List.iter
-    (fun (name, off, on) ->
-      Printf.printf
-        "%s @ 2 domains: %.3f dispatches/round stealing vs %.3f legacy\n"
-        name (coord_ratio on) (coord_ratio off))
-    coord_pairs;
-  if speedup_armed then
-    List.iter
-      (fun c ->
-        Printf.printf "%s @ 4 domains stealing: %.2fx vs sequential\n"
-          c.pg_workload (speedup c))
-      speedup_cells
-  else
-    Printf.printf
-      "speedup gate disarmed: host has %d core(s), 4-domain marking cannot \
-       win here\n"
-      host_cores;
-  Printf.printf "wrote %s (and root copy BENCH_parallel_gc.json)\n" path;
-  if not deterministic then exit 1;
-  if not coord_ok then begin
-    Printf.eprintf
-      "coordination gate: FAIL -- steal-driven rounds must never dispatch \
-       the pool more often per pooled round than the legacy shared-counter \
-       design at 2 domains, and must be strictly cheaper on at least one \
-       workload\n";
-    exit 1
-  end;
-  if not speedup_ok then begin
-    Printf.eprintf
-      "speedup gate: FAIL -- 4-domain steal-on marking did not beat the \
-       sequential baseline on a %d-core host\n"
-      host_cores;
-    exit 1
-  end
+  { Report.scenario = "parallel_gc"; benchmark = "parallel_gc";
+    host = Report.host;
+    fields = [ ("host_cores", int host_cores) ];
+    cases = List.map case_row cases;
+    gates =
+      [ Report.gate "deterministic_across_schedules"
+          (List.map
+             (fun c -> cell c ^ " reclaimed differently from 1 domain (engine bug!)")
+             diverged);
+        Report.gate "coordination_gate"
+          (if coord_ok then []
+           else
+             [ "steal-driven rounds must never dispatch the pool more often \
+                per pooled round than the legacy shared-counter design at 2 \
+                domains, and must be strictly cheaper on at least one \
+                workload ("
+               ^ String.concat ", "
+                   (List.map
+                      (fun (name, off, on) ->
+                        Printf.sprintf "%s: %.3f stealing vs %.3f legacy" name
+                          (coord_ratio on) (coord_ratio off))
+                      coord_pairs)
+               ^ ")" ]);
+        (if host_cores < 4 then
+           ( "speedup_gate",
+             Report.Disarmed
+               (Printf.sprintf
+                  "host has %d core(s), 4-domain marking cannot win here"
+                  host_cores) )
+         else
+           Report.gate "speedup_gate"
+             (List.map
+                (fun c ->
+                  Printf.sprintf
+                    "%s: 4-domain steal-on marking %.2fx vs sequential on a \
+                     %d-core host"
+                    c.pg_workload (speedup c) host_cores)
+                slow_cells)) ] }
 
 (* ------------------------------------------------------------------ *)
 (* Pause-time sweep: the same leak workloads collected by all three
@@ -923,10 +784,7 @@ let run_pause_case w (name, engine) =
     pc_histogram = pause_histogram samples;
   }
 
-let run_pause_bench () =
-  Lp_harness.Render.header "GC pause profile"
-    "per-pause wall-clock samples under seq / par2 / inc engines; results \
-     in BENCH_pauses.json";
+let gc_pauses () =
   let cases =
     List.concat_map
       (fun w -> List.map (run_pause_case w) pause_engines)
@@ -937,12 +795,13 @@ let run_pause_bench () =
       (fun b -> b.pc_workload = c.pc_workload && b.pc_engine = "seq")
       cases
   in
-  let deterministic =
-    List.for_all
+  let diverged =
+    List.filter
       (fun c ->
         let b = base c in
-        c.pc_gc_count = b.pc_gc_count
-        && c.pc_bytes_reclaimed = b.pc_bytes_reclaimed)
+        not
+          (c.pc_gc_count = b.pc_gc_count
+          && c.pc_bytes_reclaimed = b.pc_bytes_reclaimed))
       cases
   in
   let slice_cap =
@@ -958,79 +817,48 @@ let run_pause_bench () =
         && c.pc_max_ns < (base c).pc_max_ns)
       cases
   in
-  let case_json c =
-    Printf.sprintf
-      {|    { "workload": %S, "engine": %S, "collections": %d,
-      "bytes_reclaimed": %d, "pause_samples": %d, "max_pause_ns": %d,
-      "mean_pause_ns": %.0f, "max_slice_work": %d,
-      "histogram": [%s] }|}
-      c.pc_workload c.pc_engine c.pc_gc_count c.pc_bytes_reclaimed c.pc_samples
-      c.pc_max_ns c.pc_mean_ns c.pc_max_slice_work
-      (String.concat ", "
-         (Array.to_list (Array.map string_of_int c.pc_histogram)))
+  let case_row c =
+    [ ("workload", str c.pc_workload);
+      ("engine", str c.pc_engine);
+      ("collections", int c.pc_gc_count);
+      ("bytes_reclaimed", int c.pc_bytes_reclaimed);
+      ("pause_samples", int c.pc_samples);
+      ("max_pause_ns", int c.pc_max_ns);
+      ("mean_pause_ns", fixed 0 c.pc_mean_ns);
+      ("max_slice_work", int c.pc_max_slice_work);
+      ("histogram", Json.List (Array.to_list (Array.map int c.pc_histogram))) ]
   in
-  let json =
-    Printf.sprintf
-      {|{
-  "benchmark": "gc_pauses",
-  "slice_budget": %d,
-  "slice_gate_tolerance": %.2f,
-  "histogram_buckets": [%s],
-  "deterministic_across_engines": %b,
-  "incremental_max_pause_below_sequential_on": [%s],
-  "cases": [
-%s
-  ]
-}
-|}
-      pause_slice_budget pause_gate_tolerance
-      (String.concat ", "
-         (List.map (Printf.sprintf "%S") pause_bucket_labels))
-      deterministic
-      (String.concat ", "
-         (List.map (fun c -> Printf.sprintf "%S" c.pc_workload) inc_beats_seq))
-      (String.concat ",\n" (List.map case_json cases))
-  in
-  let path = out_path "BENCH_pauses.json" in
-  write_file path json;
-  (* root copy, like BENCH_resurrection.json *)
-  write_file "BENCH_pauses.json" json;
-  Lp_harness.Render.table
-    ~columns:
-      [ "workload"; "engine"; "gcs"; "pauses"; "max pause ms"; "mean pause ms";
-        "max slice objs" ]
-    ~rows:
-      (List.map
-         (fun c ->
-           [
-             c.pc_workload;
-             c.pc_engine;
-             string_of_int c.pc_gc_count;
-             string_of_int c.pc_samples;
-             Printf.sprintf "%.3f" (float_of_int c.pc_max_ns /. 1e6);
-             Printf.sprintf "%.3f" (c.pc_mean_ns /. 1e6);
-             string_of_int c.pc_max_slice_work;
-           ])
-         cases);
-  Printf.printf
-    "outputs %s across engines; incremental max pause below sequential on: %s\n"
-    (if deterministic then "IDENTICAL" else "DIVERGED (engine bug!)")
-    (match inc_beats_seq with
-    | [] -> "none"
-    | l -> String.concat ", " (List.map (fun c -> c.pc_workload) l));
-  Printf.printf "wrote %s (and root copy BENCH_pauses.json)\n" path;
-  if not deterministic then exit 1;
-  if slice_violations <> [] then begin
-    List.iter
-      (fun c ->
-        Printf.eprintf
-          "pause-gate: FAIL — %s/%s max slice scanned %d objects, over the \
-           budget %d x %.2f = %d\n"
-          c.pc_workload c.pc_engine c.pc_max_slice_work pause_slice_budget
-          pause_gate_tolerance slice_cap)
-      slice_violations;
-    exit 1
-  end
+  { Report.scenario = "pauses"; benchmark = "gc_pauses"; host = Report.host;
+    fields =
+      [ ("slice_budget", int pause_slice_budget);
+        ("slice_gate_tolerance", fixed 2 pause_gate_tolerance);
+        ("histogram_buckets", Json.List (List.map str pause_bucket_labels)) ];
+    cases = List.map case_row cases;
+    gates =
+      [ Report.gate "deterministic_across_engines"
+          (List.map
+             (fun c ->
+               Printf.sprintf "%s/%s reclaimed differently from seq (engine bug!)"
+                 c.pc_workload c.pc_engine)
+             diverged);
+        Report.gate "max_slice_within_budget"
+          (List.map
+             (fun c ->
+               Printf.sprintf
+                 "%s/%s max slice scanned %d objects, over the budget %d x \
+                  %.2f = %d"
+                 c.pc_workload c.pc_engine c.pc_max_slice_work
+                 pause_slice_budget pause_gate_tolerance slice_cap)
+             slice_violations);
+        ( "incremental_max_pause_below_sequential_on",
+          Report.Disarmed
+            (Printf.sprintf
+               "wall-clock comparison, recorded but not enforced; below \
+                sequential on: %s"
+               (match inc_beats_seq with
+               | [] -> "none"
+               | l -> String.concat ", " (List.map (fun c -> c.pc_workload) l)))
+        ) ] }
 
 (* ------------------------------------------------------------------ *)
 (* Pause-SLO autopilot scenario: the same workloads under (a) the
@@ -1116,10 +944,7 @@ let run_slo_case ~autopilot w =
     sc_final_budget = final_budget;
   }
 
-let run_slo_bench () =
-  Lp_harness.Render.header "Pause-SLO autopilot"
-    "feedback-tuned slice budgets vs the static incremental default; \
-     results in BENCH_slo.json";
+let slo () =
   let cases =
     List.concat_map
       (fun w ->
@@ -1132,12 +957,6 @@ let run_slo_bench () =
       cases
   in
   let autopilots = List.filter (fun c -> c.sc_mode = "autopilot") cases in
-  let p99_losses =
-    List.filter (fun c -> c.sc_p99_ns >= (static c).sc_p99_ns) autopilots
-  in
-  let monolithic_leaks =
-    List.filter (fun c -> c.sc_monolithic > 0) autopilots
-  in
   (* determinism under feedback: rerun every autopilot case and compare
      the reclamation outcome bit for bit (pause timings are excluded —
      they are wall-clock and may not repeat) *)
@@ -1146,81 +965,49 @@ let run_slo_bench () =
   let nondeterministic =
     List.exists2 (fun a b -> outcome a <> outcome b) autopilots reruns
   in
-  let case_json c =
-    Printf.sprintf
-      {|    { "workload": %S, "mode": %S, "collections": %d,
-      "bytes_reclaimed": %d, "pause_samples": %d, "monolithic_samples": %d,
-      "p99_pause_ns": %d, "max_pause_ns": %d, "slo_adjustments": %d,
-      "engine_switches": %d, "final_budget": %d }|}
-      c.sc_workload c.sc_mode c.sc_gc_count c.sc_bytes_reclaimed c.sc_samples
-      c.sc_monolithic c.sc_p99_ns c.sc_max_ns c.sc_adjustments c.sc_switches
-      c.sc_final_budget
+  let case_row c =
+    [ ("workload", str c.sc_workload);
+      ("mode", str c.sc_mode);
+      ("collections", int c.sc_gc_count);
+      ("bytes_reclaimed", int c.sc_bytes_reclaimed);
+      ("pause_samples", int c.sc_samples);
+      ("monolithic_samples", int c.sc_monolithic);
+      ("p99_pause_ns", int c.sc_p99_ns);
+      ("max_pause_ns", int c.sc_max_ns);
+      ("slo_adjustments", int c.sc_adjustments);
+      ("engine_switches", int c.sc_switches);
+      ("final_budget", int c.sc_final_budget) ]
   in
-  let json =
-    Printf.sprintf
-      {|{
-  "benchmark": "pause_slo",
-  "target_p99_ns": %d,
-  "autopilot_p99_below_static_everywhere": %b,
-  "monolithic_samples_in_autopilot_runs": %d,
-  "deterministic_under_feedback": %b,
-  "cases": [
-%s
-  ]
-}
-|}
-      slo_target_ns (p99_losses = [])
-      (List.fold_left (fun acc c -> acc + c.sc_monolithic) 0 autopilots)
-      (not nondeterministic)
-      (String.concat ",\n" (List.map case_json cases))
-  in
-  let path = out_path "BENCH_slo.json" in
-  write_file path json;
-  write_file "BENCH_slo.json" json;
-  Lp_harness.Render.table
-    ~columns:
-      [ "workload"; "mode"; "gcs"; "pauses"; "p99 pause ms"; "max pause ms";
-        "retunes"; "budget" ]
-    ~rows:
-      (List.map
-         (fun c ->
-           [
-             c.sc_workload;
-             c.sc_mode;
-             string_of_int c.sc_gc_count;
-             string_of_int c.sc_samples;
-             Printf.sprintf "%.3f" (float_of_int c.sc_p99_ns /. 1e6);
-             Printf.sprintf "%.3f" (float_of_int c.sc_max_ns /. 1e6);
-             string_of_int c.sc_adjustments;
-             string_of_int c.sc_final_budget;
-           ])
-         cases);
-  Printf.printf "wrote %s (and root copy BENCH_slo.json)\n" path;
-  if p99_losses <> [] then begin
-    List.iter
-      (fun c ->
-        Printf.eprintf
-          "slo-gate: FAIL — %s autopilot p99 %dns not below static %dns\n"
-          c.sc_workload c.sc_p99_ns (static c).sc_p99_ns)
-      p99_losses;
-    exit 1
-  end;
-  if monolithic_leaks <> [] then begin
-    List.iter
-      (fun c ->
-        Printf.eprintf
-          "slo-gate: FAIL — %s autopilot run contains %d Monolithic pause \
-           sample(s); every pause must be slice-bounded\n"
-          c.sc_workload c.sc_monolithic)
-      monolithic_leaks;
-    exit 1
-  end;
-  if nondeterministic then begin
-    Printf.eprintf
-      "slo-gate: FAIL — autopilot reruns diverged on reclamation outcome \
-       (budget feedback leaked into collector decisions)\n";
-    exit 1
-  end
+  { Report.scenario = "slo"; benchmark = "pause_slo"; host = Report.host;
+    fields = [ ("target_p99_ns", int slo_target_ns) ];
+    cases = List.map case_row cases;
+    gates =
+      [ Report.gate "autopilot_p99_below_static_everywhere"
+          (List.filter_map
+             (fun c ->
+               let s = (static c).sc_p99_ns in
+               if c.sc_p99_ns < s then None
+               else
+                 Some
+                   (Printf.sprintf "%s autopilot p99 %dns not below static %dns"
+                      c.sc_workload c.sc_p99_ns s))
+             autopilots);
+        Report.gate "monolithic_samples_in_autopilot_runs"
+          (List.filter_map
+             (fun c ->
+               if c.sc_monolithic = 0 then None
+               else
+                 Some
+                   (Printf.sprintf
+                      "%s autopilot run contains %d Monolithic pause \
+                       sample(s); every pause must be slice-bounded"
+                      c.sc_workload c.sc_monolithic))
+             autopilots);
+        Report.gate "deterministic_under_feedback"
+          (if nondeterministic then
+             [ "autopilot reruns diverged on reclamation outcome (budget \
+                feedback leaked into collector decisions)" ]
+           else []) ] }
 
 (* ------------------------------------------------------------------ *)
 (* Fleet scenario: a small multi-tenant fleet under chaos — one tenant
@@ -1230,7 +1017,7 @@ let run_slo_bench () =
    zero verifier failures and zero crashes across every tenant, or the
    bench exits 1. *)
 
-let run_fleet_bench () =
+let fleet () =
   let seed = 11 and rounds = 80 and tenants = 4 in
   let specs =
     List.init tenants (fun id ->
@@ -1246,7 +1033,7 @@ let run_fleet_bench () =
           resurrection = true;
           liveness = Lp_core.Config.Liveness_off;
           pause_slo_p99_ns = None;
-    gc_packet_size = None;
+          gc_packet_size = None;
         })
   in
   let options =
@@ -1258,120 +1045,67 @@ let run_fleet_bench () =
   let t0 = Sys.time () in
   let report = Lp_fleet.Fleet.run options specs in
   let cpu_s = Sys.time () -. t0 in
-  let shed (t : Lp_fleet.Fleet.tenant_report) =
-    t.Lp_fleet.Fleet.shed_queue + t.Lp_fleet.Fleet.shed_deadline
-    + t.Lp_fleet.Fleet.shed_retries + t.Lp_fleet.Fleet.shed_retired
-  in
+  let open Lp_fleet.Fleet in
+  let shed t = t.shed_queue + t.shed_deadline + t.shed_retries + t.shed_retired in
   let rate num den = if den = 0 then 0.0 else float_of_int num /. float_of_int den in
-  let tenant_json (t : Lp_fleet.Fleet.tenant_report) =
-    let timing =
-      List.find
-        (fun (ti : Lp_fleet.Fleet.timing) ->
-          ti.Lp_fleet.Fleet.t_tenant = t.Lp_fleet.Fleet.tenant)
-        report.Lp_fleet.Fleet.timings
-    in
-    Printf.sprintf
-      {|    {
-      "tenant": %d,
-      "arrived": %d,
-      "served": %d,
-      "throughput_per_round": %.3f,
-      "shed": %d,
-      "shed_rate": %.4f,
-      "restarts": %d,
-      "kills": %d,
-      "crashes": %d,
-      "bytes_reclaimed": %d,
-      "references_poisoned": %d,
-      "verifier_checks": %d,
-      "verifier_failures": %d,
-      "admission_denials": %d,
-      "pause_count": %d,
-      "pause_p50_ns": %d,
-      "pause_p99_ns": %d,
-      "pause_max_ns": %d
-    }|}
-      t.Lp_fleet.Fleet.tenant t.Lp_fleet.Fleet.arrived t.Lp_fleet.Fleet.served
-      (rate t.Lp_fleet.Fleet.served rounds)
-      (shed t)
-      (rate (shed t) t.Lp_fleet.Fleet.arrived)
-      t.Lp_fleet.Fleet.restarts t.Lp_fleet.Fleet.kills t.Lp_fleet.Fleet.crashes
-      t.Lp_fleet.Fleet.bytes_reclaimed t.Lp_fleet.Fleet.references_poisoned
-      t.Lp_fleet.Fleet.verifier_checks t.Lp_fleet.Fleet.verifier_failures
-      t.Lp_fleet.Fleet.admission_denials timing.Lp_fleet.Fleet.pause_count
-      timing.Lp_fleet.Fleet.pause_p50_ns timing.Lp_fleet.Fleet.pause_p99_ns
-      timing.Lp_fleet.Fleet.pause_max_ns
+  let tenant_row t =
+    let timing = List.find (fun ti -> ti.t_tenant = t.tenant) report.timings in
+    Json.Obj
+      [ ("tenant", int t.tenant);
+        ("arrived", int t.arrived);
+        ("served", int t.served);
+        ("throughput_per_round", fixed 3 (rate t.served rounds));
+        ("shed", int (shed t));
+        ("shed_rate", fixed 4 (rate (shed t) t.arrived));
+        ("restarts", int t.restarts);
+        ("kills", int t.kills);
+        ("crashes", int t.crashes);
+        ("bytes_reclaimed", int t.bytes_reclaimed);
+        ("references_poisoned", int t.references_poisoned);
+        ("verifier_checks", int t.verifier_checks);
+        ("verifier_failures", int t.verifier_failures);
+        ("admission_denials", int t.admission_denials);
+        ("pause_count", int timing.pause_count);
+        ("pause_p50_ns", int timing.pause_p50_ns);
+        ("pause_p99_ns", int timing.pause_p99_ns);
+        ("pause_max_ns", int timing.pause_max_ns) ]
   in
-  let sum f =
-    List.fold_left (fun acc t -> acc + f t) 0 report.Lp_fleet.Fleet.tenant_reports
-  in
-  let arrived = sum (fun t -> t.Lp_fleet.Fleet.arrived) in
-  let served = sum (fun t -> t.Lp_fleet.Fleet.served) in
+  let sum f = List.fold_left (fun acc t -> acc + f t) 0 report.tenant_reports in
+  let arrived = sum (fun t -> t.arrived) in
+  let served = sum (fun t -> t.served) in
   let shed_total = sum shed in
-  let restarts = sum (fun t -> t.Lp_fleet.Fleet.restarts) in
-  let verifier_failures = sum (fun t -> t.Lp_fleet.Fleet.verifier_failures) in
-  let crashes = sum (fun t -> t.Lp_fleet.Fleet.crashes) in
-  let json =
-    Printf.sprintf
-      {|{
-  "benchmark": "fleet",
-  "seed": %d,
-  "rounds": %d,
-  "tenants": %d,
-  "chaos": true,
-  "faults_fired": %d,
-  "per_tenant": [
-%s
-  ],
-  "aggregate": {
-    "arrived": %d,
-    "served": %d,
-    "throughput_per_round": %.3f,
-    "shed": %d,
-    "shed_rate": %.4f,
-    "restarts": %d,
-    "verifier_failures": %d,
-    "crashes": %d,
-    "backend_used_bytes": %d,
-    "backend_denials": %d
-  },
-  "cpu_seconds": %.3f
-}
-|}
-      seed rounds tenants report.Lp_fleet.Fleet.faults_fired
-      (String.concat ",\n"
-         (List.map tenant_json report.Lp_fleet.Fleet.tenant_reports))
-      arrived served (rate served rounds) shed_total (rate shed_total arrived)
-      restarts verifier_failures crashes
-      report.Lp_fleet.Fleet.backend_used_bytes
-      report.Lp_fleet.Fleet.backend_denials cpu_s
-  in
-  let path = out_path "BENCH_fleet.json" in
-  write_file path json;
-  (* root copy, like BENCH_resurrection.json *)
-  write_file "BENCH_fleet.json" json;
-  Lp_harness.Render.table
-    ~columns:[ "metric"; "value" ]
-    ~rows:
-      [
-        [ "tenants"; string_of_int tenants ];
-        [ "rounds"; string_of_int rounds ];
-        [ "faults fired"; string_of_int report.Lp_fleet.Fleet.faults_fired ];
-        [ "requests served"; string_of_int served ];
-        [ "aggregate throughput/round"; Printf.sprintf "%.3f" (rate served rounds) ];
-        [ "shed rate"; Printf.sprintf "%.4f" (rate shed_total arrived) ];
-        [ "tenant restarts"; string_of_int restarts ];
-        [ "verifier failures"; string_of_int verifier_failures ];
-        [ "crashes"; string_of_int crashes ];
-      ];
-  Printf.printf "wrote %s (and root copy BENCH_fleet.json)\n" path;
-  if verifier_failures > 0 || crashes > 0 then begin
-    Printf.eprintf
-      "FLEET GATE FAILED: %d verifier failure(s), %d crash(es) — isolation \
-       contract broken\n"
-      verifier_failures crashes;
-    exit 1
-  end
+  let verifier_failures = sum (fun t -> t.verifier_failures) in
+  let crashes = sum (fun t -> t.crashes) in
+  { Report.scenario = "fleet"; benchmark = "fleet"; host = Report.host;
+    fields =
+      [ ("seed", int seed);
+        ("rounds", int rounds);
+        ("tenants", int tenants);
+        ("chaos", Json.Bool true);
+        ("faults_fired", int report.faults_fired);
+        ("per_tenant", Json.List (List.map tenant_row report.tenant_reports));
+        ( "aggregate",
+          Json.Obj
+            [ ("arrived", int arrived);
+              ("served", int served);
+              ("throughput_per_round", fixed 3 (rate served rounds));
+              ("shed", int shed_total);
+              ("shed_rate", fixed 4 (rate shed_total arrived));
+              ("restarts", int (sum (fun t -> t.restarts)));
+              ("verifier_failures", int verifier_failures);
+              ("crashes", int crashes);
+              ("backend_used_bytes", int report.backend_used_bytes);
+              ("backend_denials", int report.backend_denials) ] );
+        ("cpu_seconds", fixed 3 cpu_s) ];
+    cases = [];
+    gates =
+      [ Report.gate "isolation"
+          (if verifier_failures > 0 || crashes > 0 then
+             [ Printf.sprintf
+                 "%d verifier failure(s), %d crash(es) — isolation contract \
+                  broken"
+                 verifier_failures crashes ]
+           else []) ] }
 
 (* ------------------------------------------------------------------ *)
 (* Restart scenario: warm (checkpoint-restoring) versus cold restarts,
@@ -1383,7 +1117,7 @@ let run_fleet_bench () =
    fewer mispredictions than the cold one — the learning burst is paid
    once, not twice.  Any violation exits 1. *)
 
-let run_restart_bench () =
+let restart () =
   let seeds = 25 and rounds = 60 and kill_round = 30 in
   let spec =
     {
@@ -1437,112 +1171,59 @@ let run_restart_bench () =
       (fun msg -> violations := Printf.sprintf "seed %d: %s" seed msg :: !violations)
       fmt
   in
-  let rows = ref [] in
-  for seed = 1 to seeds do
-    let warm_report, w, warm_wall = run ~warm:true seed in
-    let cold_report, c, cold_wall = run ~warm:false seed in
-    if Lp_fleet.Fleet.failed warm_report then
-      violate seed "warm run failed (verifier failure or crash)";
-    if Lp_fleet.Fleet.failed cold_report then
-      violate seed "cold run failed (verifier failure or crash)";
-    if w.Lp_fleet.Fleet.warm_restarts < 1 then
-      violate seed "no warm restart happened (warm=%d cold=%d fallbacks=%d)"
-        w.Lp_fleet.Fleet.warm_restarts w.Lp_fleet.Fleet.cold_restarts
-        w.Lp_fleet.Fleet.checkpoint_fallbacks;
-    let warm_ready = ready_round warm_report in
-    let cold_ready = ready_round cold_report in
-    if warm_ready = None then violate seed "warm tenant never became ready";
-    if cold_ready = None then violate seed "cold tenant never became ready";
-    if w.Lp_fleet.Fleet.mispredictions >= c.Lp_fleet.Fleet.mispredictions then
-      violate seed
-        "warm mispredictions %d not strictly below cold %d — the restored \
-         brain bought nothing"
-        w.Lp_fleet.Fleet.mispredictions c.Lp_fleet.Fleet.mispredictions;
-    let ttr = function Some r -> r - kill_round | None -> -1 in
-    rows :=
-      ( seed,
-        w.Lp_fleet.Fleet.mispredictions,
-        c.Lp_fleet.Fleet.mispredictions,
-        ttr warm_ready,
-        ttr cold_ready,
-        warm_wall,
-        cold_wall )
-      :: !rows
-  done;
-  let rows = List.rev !rows in
-  let mean f =
-    List.fold_left (fun acc r -> acc +. f r) 0.0 rows /. float_of_int seeds
+  let per_seed =
+    List.init seeds (fun i ->
+        let seed = i + 1 in
+        let warm_report, w, warm_wall = run ~warm:true seed in
+        let cold_report, c, cold_wall = run ~warm:false seed in
+        if Lp_fleet.Fleet.failed warm_report then
+          violate seed "warm run failed (verifier failure or crash)";
+        if Lp_fleet.Fleet.failed cold_report then
+          violate seed "cold run failed (verifier failure or crash)";
+        if w.Lp_fleet.Fleet.warm_restarts < 1 then
+          violate seed "no warm restart happened (warm=%d cold=%d fallbacks=%d)"
+            w.Lp_fleet.Fleet.warm_restarts w.Lp_fleet.Fleet.cold_restarts
+            w.Lp_fleet.Fleet.checkpoint_fallbacks;
+        let warm_ready = ready_round warm_report in
+        let cold_ready = ready_round cold_report in
+        if warm_ready = None then violate seed "warm tenant never became ready";
+        if cold_ready = None then violate seed "cold tenant never became ready";
+        if w.Lp_fleet.Fleet.mispredictions >= c.Lp_fleet.Fleet.mispredictions then
+          violate seed
+            "warm mispredictions %d not strictly below cold %d — the restored \
+             brain bought nothing"
+            w.Lp_fleet.Fleet.mispredictions c.Lp_fleet.Fleet.mispredictions;
+        let ttr = function Some r -> r - kill_round | None -> -1 in
+        [ ("seed", int seed);
+          ("warm_mispredictions", int w.Lp_fleet.Fleet.mispredictions);
+          ("cold_mispredictions", int c.Lp_fleet.Fleet.mispredictions);
+          ("warm_rounds_to_ready", int (ttr warm_ready));
+          ("cold_rounds_to_ready", int (ttr cold_ready));
+          ("warm_wall_s", fixed 6 warm_wall);
+          ("cold_wall_s", fixed 6 cold_wall) ])
   in
-  let mean_warm_mis = mean (fun (_, w, _, _, _, _, _) -> float_of_int w) in
-  let mean_cold_mis = mean (fun (_, _, c, _, _, _, _) -> float_of_int c) in
-  let mean_warm_ttr = mean (fun (_, _, _, t, _, _, _) -> float_of_int t) in
-  let mean_cold_ttr = mean (fun (_, _, _, _, t, _, _) -> float_of_int t) in
-  let mean_warm_wall = mean (fun (_, _, _, _, _, ws, _) -> ws) in
-  let mean_cold_wall = mean (fun (_, _, _, _, _, _, cs) -> cs) in
-  let seed_json (seed, wm, cm, wt, ct, ws, cs) =
-    Printf.sprintf
-      {|    { "seed": %d, "warm_mispredictions": %d, "cold_mispredictions": %d, "warm_rounds_to_ready": %d, "cold_rounds_to_ready": %d, "warm_wall_s": %.6f, "cold_wall_s": %.6f }|}
-      seed wm cm wt ct ws cs
+  let mean key digits =
+    fixed digits
+      (List.fold_left (fun acc row -> acc +. number key row) 0.0 per_seed
+      /. float_of_int seeds)
   in
-  let json =
-    Printf.sprintf
-      {|{
-  "benchmark": "restart",
-  "workload": "PhasedCache",
-  "seeds": %d,
-  "rounds": %d,
-  "kill_round": %d,
-  "per_seed": [
-%s
-  ],
-  "aggregate": {
-    "mean_warm_mispredictions": %.2f,
-    "mean_cold_mispredictions": %.2f,
-    "mean_warm_rounds_to_ready": %.2f,
-    "mean_cold_rounds_to_ready": %.2f,
-    "mean_warm_wall_s": %.6f,
-    "mean_cold_wall_s": %.6f
-  },
-  "violations": [%s]
-}
-|}
-      seeds rounds kill_round
-      (String.concat ",\n" (List.map seed_json rows))
-      mean_warm_mis mean_cold_mis mean_warm_ttr mean_cold_ttr mean_warm_wall
-      mean_cold_wall
-      (String.concat ", "
-         (List.map (fun v -> Printf.sprintf "%S" v) (List.rev !violations)))
-  in
-  let path = out_path "BENCH_restart.json" in
-  write_file path json;
-  write_file "BENCH_restart.json" json;
-  Lp_harness.Render.table
-    ~columns:[ "metric"; "warm"; "cold" ]
-    ~rows:
-      [
-        [
-          "mean mispredictions";
-          Printf.sprintf "%.2f" mean_warm_mis;
-          Printf.sprintf "%.2f" mean_cold_mis;
-        ];
-        [
-          "mean rounds to ready";
-          Printf.sprintf "%.2f" mean_warm_ttr;
-          Printf.sprintf "%.2f" mean_cold_ttr;
-        ];
-        [
-          "mean run wall (s)";
-          Printf.sprintf "%.4f" mean_warm_wall;
-          Printf.sprintf "%.4f" mean_cold_wall;
-        ];
-      ];
-  Printf.printf "wrote %s (and root copy BENCH_restart.json)\n" path;
-  if !violations <> [] then begin
-    Printf.eprintf "RESTART GATE FAILED (%d violation(s)):\n"
-      (List.length !violations);
-    List.iter (Printf.eprintf "  %s\n") (List.rev !violations);
-    exit 1
-  end
+  { Report.scenario = "restart"; benchmark = "restart"; host = Report.host;
+    fields =
+      [ ("workload", str "PhasedCache");
+        ("seeds", int seeds);
+        ("rounds", int rounds);
+        ("kill_round", int kill_round);
+        ("per_seed", Json.List (List.map (fun row -> Json.Obj row) per_seed));
+        ( "aggregate",
+          Json.Obj
+            [ ("mean_warm_mispredictions", mean "warm_mispredictions" 2);
+              ("mean_cold_mispredictions", mean "cold_mispredictions" 2);
+              ("mean_warm_rounds_to_ready", mean "warm_rounds_to_ready" 2);
+              ("mean_cold_rounds_to_ready", mean "cold_rounds_to_ready" 2);
+              ("mean_warm_wall_s", mean "warm_wall_s" 6);
+              ("mean_cold_wall_s", mean "cold_wall_s" 6) ] ) ];
+    cases = [];
+    gates = [ Report.gate "violations" (List.rev !violations) ] }
 
 (* Static-liveness scenario: dynamic-only SELECT versus the
    access-graph oracle composed with staleness, across the four
@@ -1558,7 +1239,7 @@ let run_restart_bench () =
    less — those two workloads were built to make dynamic-only SELECT
    choose a stale-but-live structure.  Any violation exits 1. *)
 
-let run_liveness_bench () =
+let liveness () =
   let variants = 25 in
   let cap seed = 200 + (40 * seed) in
   let bench_workloads =
@@ -1586,170 +1267,117 @@ let run_liveness_bench () =
   let violate fmt =
     Printf.ksprintf (fun msg -> violations := msg :: !violations) fmt
   in
-  let rows = ref [] in
-  List.iter
-    (fun w ->
-      let name = w.Lp_workloads.Workload.name in
-      let improved = ref false in
-      for seed = 1 to variants do
-        let n = cap seed in
-        let off = run Lp_core.Config.Liveness_off w n in
-        let guide = run Lp_core.Config.Liveness_guide w n in
-        let guide' = run Lp_core.Config.Liveness_guide w n in
-        if key guide <> key guide' then
-          violate "%s cap %d: guided run is not deterministic" name n;
-        let om = off.Lp_harness.Driver.mispredictions in
-        let gm = guide.Lp_harness.Driver.mispredictions in
-        if gm > om then
-          violate "%s cap %d: guided mispredicted %d > dynamic-only %d" name n
-            gm om;
-        if gm < om then improved := true;
-        rows :=
-          ( name,
-            n,
-            om,
-            gm,
-            off.Lp_harness.Driver.iterations,
-            guide.Lp_harness.Driver.iterations,
-            guide.Lp_harness.Driver.liveness_vetoes,
-            guide.Lp_harness.Driver.liveness_boosts )
-          :: !rows
-      done;
-      if
-        (name = "PhasedCache" || name = "AdaptonHull") && not !improved
-      then
-        violate
-          "%s: guided never strictly beat dynamic-only on any variant" name)
-    bench_workloads;
-  let rows = List.rev !rows in
-  let per_workload name =
-    List.filter (fun (n, _, _, _, _, _, _, _) -> n = name) rows
+  let per_workload =
+    List.map
+      (fun w ->
+        let name = w.Lp_workloads.Workload.name in
+        let rows =
+          List.init variants (fun i ->
+              let n = cap (i + 1) in
+              let off = run Lp_core.Config.Liveness_off w n in
+              let guide = run Lp_core.Config.Liveness_guide w n in
+              let guide' = run Lp_core.Config.Liveness_guide w n in
+              if key guide <> key guide' then
+                violate "%s cap %d: guided run is not deterministic" name n;
+              let om = off.Lp_harness.Driver.mispredictions in
+              let gm = guide.Lp_harness.Driver.mispredictions in
+              if gm > om then
+                violate "%s cap %d: guided mispredicted %d > dynamic-only %d"
+                  name n gm om;
+              [ ("workload", str name);
+                ("cap", int n);
+                ("off_mispredictions", int om);
+                ("guide_mispredictions", int gm);
+                ("off_iterations", int off.Lp_harness.Driver.iterations);
+                ("guide_iterations", int guide.Lp_harness.Driver.iterations);
+                ("guide_vetoes", int guide.Lp_harness.Driver.liveness_vetoes);
+                ("guide_boosts", int guide.Lp_harness.Driver.liveness_boosts) ])
+        in
+        let total k =
+          Json.Number (List.fold_left (fun acc r -> acc +. number k r) 0.0 rows)
+        in
+        if
+          (name = "PhasedCache" || name = "AdaptonHull")
+          && not
+               (List.exists
+                  (fun r ->
+                    number "guide_mispredictions" r < number "off_mispredictions" r)
+                  rows)
+        then
+          violate
+            "%s: guided never strictly beat dynamic-only on any variant" name;
+        ( rows,
+          [ ("workload", str name);
+            ("off_mispredictions", total "off_mispredictions");
+            ("guide_mispredictions", total "guide_mispredictions");
+            ("guide_vetoes", total "guide_vetoes");
+            ("guide_boosts", total "guide_boosts") ] ))
+      bench_workloads
   in
-  let sum f l = List.fold_left (fun acc r -> acc + f r) 0 l in
-  let row_json (name, n, om, gm, oi, gi, vetoes, boosts) =
-    Printf.sprintf
-      {|    { "workload": "%s", "cap": %d, "off_mispredictions": %d, "guide_mispredictions": %d, "off_iterations": %d, "guide_iterations": %d, "guide_vetoes": %d, "guide_boosts": %d }|}
-      name n om gm oi gi vetoes boosts
-  in
-  let agg_json w =
-    let name = w.Lp_workloads.Workload.name in
-    let l = per_workload name in
-    Printf.sprintf
-      {|    { "workload": "%s", "off_mispredictions": %d, "guide_mispredictions": %d, "guide_vetoes": %d, "guide_boosts": %d }|}
-      name
-      (sum (fun (_, _, om, _, _, _, _, _) -> om) l)
-      (sum (fun (_, _, _, gm, _, _, _, _) -> gm) l)
-      (sum (fun (_, _, _, _, _, _, v, _) -> v) l)
-      (sum (fun (_, _, _, _, _, _, _, b) -> b) l)
-  in
-  let json =
-    Printf.sprintf
-      {|{
-  "benchmark": "liveness",
-  "variants_per_workload": %d,
-  "per_variant": [
-%s
-  ],
-  "per_workload": [
-%s
-  ],
-  "violations": [%s]
-}
-|}
-      variants
-      (String.concat ",\n" (List.map row_json rows))
-      (String.concat ",\n" (List.map agg_json bench_workloads))
-      (String.concat ", "
-         (List.map (fun v -> Printf.sprintf "%S" v) (List.rev !violations)))
-  in
-  let path = out_path "BENCH_liveness.json" in
-  write_file path json;
-  write_file "BENCH_liveness.json" json;
-  Lp_harness.Render.table
-    ~columns:
-      [ "workload"; "off mispred"; "guide mispred"; "vetoes"; "boosts" ]
-    ~rows:
-      (List.map
-         (fun w ->
-           let name = w.Lp_workloads.Workload.name in
-           let l = per_workload name in
-           [
-             name;
-             string_of_int (sum (fun (_, _, om, _, _, _, _, _) -> om) l);
-             string_of_int (sum (fun (_, _, _, gm, _, _, _, _) -> gm) l);
-             string_of_int (sum (fun (_, _, _, _, _, _, v, _) -> v) l);
-             string_of_int (sum (fun (_, _, _, _, _, _, _, b) -> b) l);
-           ])
-         bench_workloads);
-  Printf.printf "wrote %s (and root copy BENCH_liveness.json)\n" path;
-  if !violations <> [] then begin
-    Printf.eprintf "LIVENESS GATE FAILED (%d violation(s)):\n"
-      (List.length !violations);
-    List.iter (Printf.eprintf "  %s\n") (List.rev !violations);
-    exit 1
-  end
+  let objs rows = Json.List (List.map (fun r -> Json.Obj r) rows) in
+  { Report.scenario = "liveness"; benchmark = "liveness"; host = Report.host;
+    fields =
+      [ ("variants_per_workload", int variants);
+        ("per_variant", objs (List.concat_map fst per_workload));
+        ("per_workload", objs (List.map snd per_workload)) ];
+    cases = [];
+    gates = [ Report.gate "violations" (List.rev !violations) ] }
 
 (* ------------------------------------------------------------------ *)
 
-let experiments = Lp_harness.Experiments.all @ Lp_harness.Ablations.all
+let scenario id summary run =
+  ( id,
+    summary,
+    fun () ->
+      Lp_harness.Render.header id summary;
+      Report.emit (run ()) )
 
-let list_experiments () =
-  List.iter (fun (id, title, _) -> Printf.printf "%-13s %s\n" id title) experiments;
-  Printf.printf "%-13s %s\n" "micro" "Bechamel microbenchmarks";
-  Printf.printf "%-13s %s\n" "resurrection"
-    "Resurrection-overhead baseline (writes bench/out/BENCH_resurrection.json)";
-  Printf.printf "%-13s %s\n" "obs"
-    "Disabled-observability overhead (writes bench/out/BENCH_obs_overhead.json)";
-  Printf.printf "%-13s %s\n" "obs-gate"
-    "Same measurement; exit 1 if overhead exceeds the 3% budget";
-  Printf.printf "%-13s %s\n" "gc-parallel"
-    "Parallel-GC speedup sweep at 1/2/4 domains (writes \
-     bench/out/BENCH_parallel_gc.json; exit 1 if outputs diverge)";
-  Printf.printf "%-13s %s\n" "gc-pauses"
-    "Pause profile under seq/par2/inc engines (writes \
-     bench/out/BENCH_pauses.json; exit 1 if outputs diverge or an \
-     incremental slice busts its budget)";
-  Printf.printf "%-13s %s\n" "slo"
-    "Pause-SLO autopilot vs the static incremental default (writes \
-     bench/out/BENCH_slo.json; exit 1 unless the autopilot's p99 beats \
-     static everywhere, no pause is monolithic, and reruns reclaim \
-     bit-identically)";
-  Printf.printf "%-13s %s\n" "fleet"
-    "Multi-tenant fleet under chaos (writes bench/out/BENCH_fleet.json; \
-     exit 1 on any verifier failure or crash)";
-  Printf.printf "%-13s %s\n" "restart"
-    "Warm vs cold restart cost over 25 seeds (writes \
-     bench/out/BENCH_restart.json; exit 1 unless every warm run beats \
-     its cold baseline)"
-;
-  Printf.printf "%-13s %s\n" "liveness"
-    "Static liveness oracle vs dynamic-only SELECT over 25 variants of \
-     each bytecode-modelled workload (writes bench/out/BENCH_liveness.json; \
-     exit 1 unless guided is deterministic, never worse, and strictly \
-     better somewhere)"
-
-let run_experiment id =
-  match List.find_opt (fun (eid, _, _) -> eid = id) experiments with
-  | Some (_, _, run) -> run ()
-  | None ->
-    if id = "micro" then run_microbenches ()
-    else if id = "resurrection" then run_resurrection_bench ()
-    else if id = "obs" then run_obs_overhead_bench ~gate:false ()
-    else if id = "obs-gate" then run_obs_overhead_bench ~gate:true ()
-    else if id = "gc-parallel" then run_parallel_gc_bench ()
-    else if id = "gc-pauses" then run_pause_bench ()
-    else if id = "slo" then run_slo_bench ()
-    else if id = "fleet" then run_fleet_bench ()
-    else if id = "restart" then run_restart_bench ()
-    else if id = "liveness" then run_liveness_bench ()
-    else begin
-      Printf.eprintf "unknown experiment %S; try --list\n" id;
-      exit 1
-    end
+(* (id, summary, run) for every experiment and scenario, in run-all
+   order. *)
+let all =
+  Lp_harness.Experiments.all @ Lp_harness.Ablations.all
+  @ [
+      scenario "micro" "Bechamel wall-clock cost of core operations" micro;
+      scenario "resurrection"
+        "Resurrection overhead over deterministic leak/prune/recover rounds"
+        resurrection;
+      scenario "obs"
+        "Disabled-observability overhead of the read barrier (3% budget \
+         reported, not enforced)"
+        (obs_overhead ~enforce:false);
+      scenario "obs-gate"
+        "Same measurement; fails if the overhead exceeds the 3% budget"
+        (obs_overhead ~enforce:true);
+      scenario "gc-parallel"
+        "Parallel-GC matrix over {1,2,4} domains x steal {off,on}; fails if \
+         outputs diverge, coordination regresses, or (on >= 4 cores) 4 \
+         domains do not beat 1"
+        parallel_gc;
+      scenario "gc-pauses"
+        "Pause profile under seq/par2/inc engines; fails if outputs diverge \
+         or an incremental slice busts its budget"
+        gc_pauses;
+      scenario "slo"
+        "Pause-SLO autopilot vs the static incremental default; fails unless \
+         the autopilot's p99 beats static everywhere, no pause is \
+         monolithic, and reruns reclaim bit-identically"
+        slo;
+      scenario "fleet"
+        "Multi-tenant fleet under chaos; fails on any verifier failure or \
+         crash"
+        fleet;
+      scenario "restart"
+        "Warm vs cold restarts over 25 seeds; fails unless every warm run \
+         beats its cold baseline"
+        restart;
+      scenario "liveness"
+        "Static liveness oracle vs dynamic-only SELECT over 25 variants per \
+         workload; fails unless guided is deterministic, never worse, and \
+         strictly better somewhere"
+        liveness;
+    ]
 
 let () =
-  (* --csv DIR anywhere on the command line also writes the key tables
-     and series as CSV files into DIR *)
   let args =
     let rec strip = function
       | "--csv" :: dir :: rest ->
@@ -1762,15 +1390,16 @@ let () =
   in
   match args with
   | [] ->
-    List.iter (fun (_, _, run) -> run ()) experiments;
-    run_microbenches ();
-    run_resurrection_bench ();
-    run_obs_overhead_bench ~gate:false ();
-    run_parallel_gc_bench ();
-    run_pause_bench ();
-    run_slo_bench ();
-    run_fleet_bench ();
-    run_restart_bench ();
-    run_liveness_bench ()
-  | [ "--list" ] -> list_experiments ()
-  | ids -> List.iter run_experiment ids
+    (* obs-gate repeats obs's measurement with the budget enforced *)
+    List.iter (fun (id, _, run) -> if id <> "obs-gate" then run ()) all
+  | [ "--list" ] ->
+    List.iter (fun (id, summary, _) -> Printf.printf "%-13s %s\n" id summary) all
+  | ids ->
+    List.iter
+      (fun id ->
+        match List.find_opt (fun (i, _, _) -> i = id) all with
+        | Some (_, _, run) -> run ()
+        | None ->
+          Printf.eprintf "unknown experiment %S; try --list\n" id;
+          exit 1)
+      ids

@@ -429,9 +429,11 @@ let trace_cmd =
   let buffer_arg =
     Arg.(value & opt int 262_144
          & info [ "buffer" ] ~docv:"N"
-             ~doc:"Event ring capacity. The default is large enough that \
-                   bundled workloads under their default caps drop nothing, \
-                   which the prune audit cross-check relies on.")
+             ~doc:"Event ring capacity. The prune audit cross-check needs \
+                   the whole trace, so a run whose ring drops any event fails \
+                   the audit; raise N until nothing is dropped. The default \
+                   holds list_leak at its default cap but not every bundled \
+                   workload (MySQL drops millions).")
   in
   let run name policy heap cap format out buffer gc_engine gc_domains
       gc_slice_budget gc_packet_size gc_steal pause_slo slo_floor liveness =
@@ -529,10 +531,12 @@ let trace_cmd =
          end
        end
        else
-         Printf.eprintf
-           "leakpruner: trace: ring dropped %d event(s); audit cross-check \
-            skipped (raise --buffer)\n"
-           dropped);
+         audit
+           (Printf.sprintf
+              "ring dropped %d event(s), so the trace is incomplete and the \
+               audit cross-check cannot run; raise --buffer"
+              dropped)
+           false);
       let output =
         match format with
         | `Jsonl ->

@@ -1,25 +1,9 @@
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let default_class_name id = Printf.sprintf "class#%d" id
 
 (* The event-specific payload, as JSON object members. [cls] renders a
    class id as a name. *)
 let fields ~cls (ev : Event.t) =
-  let s k v = (k, Printf.sprintf "\"%s\"" (escape v)) in
+  let s k v = (k, Json.quote v) in
   let i k v = (k, string_of_int v) in
   let b k v = (k, if v then "true" else "false") in
   match ev with
@@ -143,8 +127,8 @@ let to_chrome_trace ?(class_name = default_class_name) ?(dropped = 0) events =
       in
       Buffer.add_string buf
         (Printf.sprintf
-           "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%s\",\"ts\":%d,\"pid\":1,\"tid\":%d%s,\"args\":{%s}}"
-           (escape name)
+           "{\"name\":%s,\"cat\":\"%s\",\"ph\":\"%s\",\"ts\":%d,\"pid\":1,\"tid\":%d%s,\"args\":{%s}}"
+           (Json.quote name)
            (Event.type_name e.Event.ev)
            ph e.Event.at tid extra
            (members (("seq", string_of_int e.Event.seq) :: fields ~cls:class_name e.Event.ev))))

@@ -23,6 +23,3 @@ val check_spans :
     labels). Returns the number of unmatched closing events tolerated
     at the head, which is only nonzero when [allow_truncated_head] is
     set (for rings that dropped their oldest events). *)
-
-val escape : string -> string
-(** JSON string-body escaping (exposed for the CLI's ad-hoc output). *)

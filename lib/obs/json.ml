@@ -8,6 +8,43 @@ type value =
 
 exception Parse_error of string
 
+(* Bytes >= 0x80 pass through, so UTF-8 text stays UTF-8. *)
+let quote s =
+  let buf = Buffer.create (String.length s + 2) in
+  Buffer.add_char buf '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"';
+  Buffer.contents buf
+
+(* 15 significant digits when they read back exactly (integral values
+   below 1e15 then print with no fraction), else the 17 that always do. *)
+let number_to_string f =
+  let short = Printf.sprintf "%.15g" f in
+  if float_of_string short = f then short else Printf.sprintf "%.17g" f
+
+let rec to_string = function
+  | Null -> "null"
+  | Bool b -> string_of_bool b
+  | Number f when Float.is_finite f -> number_to_string f
+  | Number _ -> "null"
+  | String s -> quote s
+  | List l -> "[" ^ String.concat "," (List.map to_string l) ^ "]"
+  | Obj members ->
+    "{"
+    ^ String.concat "," (List.map (fun (k, v) -> quote k ^ ":" ^ to_string v) members)
+    ^ "}"
+
 type state = { src : string; mutable pos : int }
 
 let error st msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg st.pos))
@@ -186,7 +223,7 @@ let member name = function Obj fields -> List.assoc_opt name fields | _ -> None
 
 let to_int = function Number f -> Some (int_of_float f) | _ -> None
 
-let to_string = function String s -> Some s | _ -> None
+let to_str = function String s -> Some s | _ -> None
 
 let to_list = function List l -> Some l | _ -> None
 

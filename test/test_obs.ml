@@ -160,9 +160,33 @@ let test_jsonl_roundtrip () =
   | Error e -> Alcotest.fail e
   | Ok v ->
     Alcotest.(check (option string)) "type tag" (Some "gc_begin")
-      (Option.bind (Json.member "type" v) Json.to_string);
+      (Option.bind (Json.member "type" v) Json.to_str);
     Alcotest.(check (option int)) "logical timestamp" (Some 10)
       (Option.bind (Json.member "at" v) Json.to_int)
+
+(* The writer's output reads back as the value it wrote: integral
+   numbers print with no fraction, and UTF-8 (the em dash) passes
+   through where OCaml's %S would write an escape JSON rejects. *)
+let test_json_writer_roundtrip () =
+  let strings =
+    [ "quote \" and backslash \\"; "newline\n tab\t"; "ctrl \001";
+      "warm 24 not below cold 48 \u{2014} nothing" ]
+  in
+  let v =
+    Json.Obj
+      [ ("empty_obj", Json.Obj []); ("empty_list", Json.List []);
+        ("flags", Json.List [ Json.Bool true; Json.Bool false; Json.Null ]);
+        ( "numbers",
+          Json.List
+            (List.map (fun f -> Json.Number f) [ 127.; 0.; -42.; 0.1; -2.5e-7; 1e300 ]) );
+        ("nested", Json.Obj [ ("l", Json.List [ Json.Obj [ ("k", Json.String "v") ] ]) ]);
+        ("strings", Json.List (List.map (fun s -> Json.String s) strings)) ]
+  in
+  let text = Json.to_string v in
+  Alcotest.(check bool) "parses back to the same value" true (Json.parse text = Ok v);
+  Alcotest.(check string) "integral number" "127" (Json.to_string (Json.Number 127.));
+  Alcotest.(check string) "UTF-8 passes through" "\"a \u{2014} b\""
+    (Json.to_string (Json.String "a \u{2014} b"))
 
 let test_chrome_trace_nesting () =
   let events = stamped_trace () in
@@ -176,7 +200,7 @@ let test_chrome_trace_nesting () =
     match Option.bind (Json.member "traceEvents" v) Json.to_list with
     | None -> Alcotest.fail "traceEvents missing"
     | Some items ->
-      let ph e = Option.bind (Json.member "ph" e) Json.to_string in
+      let ph e = Option.bind (Json.member "ph" e) Json.to_str in
       let begins = List.filter (fun e -> ph e = Some "B") items in
       let ends = List.filter (fun e -> ph e = Some "E") items in
       Alcotest.(check int) "two spans open (gc, mark)" 2 (List.length begins);
@@ -295,7 +319,7 @@ let test_chaos_trace_roundtrip () =
     match Option.bind (Json.member "traceEvents" v) Json.to_list with
     | None -> Alcotest.fail "traceEvents missing"
     | Some items ->
-      let ph tag e = Option.bind (Json.member "ph" e) Json.to_string = Some tag in
+      let ph tag e = Option.bind (Json.member "ph" e) Json.to_str = Some tag in
       Alcotest.(check bool) "has duration spans" true
         (List.exists (ph "B") items && List.exists (ph "E") items))
 
@@ -378,6 +402,8 @@ let suite =
       Alcotest.test_case "sink: stamping and drop accounting" `Quick
         test_sink_stamping_and_drops;
       Alcotest.test_case "export: jsonl round-trip" `Quick test_jsonl_roundtrip;
+      Alcotest.test_case "json: writer round-trip" `Quick
+        test_json_writer_roundtrip;
       Alcotest.test_case "export: chrome trace nesting" `Quick
         test_chrome_trace_nesting;
       Alcotest.test_case "export: misnesting rejected" `Quick
