@@ -535,7 +535,12 @@ let run_parallel_gc_case w (gc_domains, gc_steal) =
   let captured = ref None in
   let r =
     Lp_harness.Driver.run
-      ~config:(Lp_core.Config.make ~gc_domains ~gc_steal ())
+      ~config:
+        (Lp_core.Config.make
+           ~gc_engine:
+             (if gc_domains = 1 then Lp_core.Config.Sequential
+              else Lp_core.Config.Parallel gc_domains)
+           ~gc_steal ())
       ~max_iterations:5_000
       ~prepare_vm:(fun vm -> captured := Some vm)
       w
@@ -1028,12 +1033,11 @@ let fleet () =
           heap_bytes = 20_000;
           quota_bytes = 20_000;
           rate_per_mille = 2_000;
-          policy = Lp_core.Policy.Default;
-          force_safe = id = 1;
+          config =
+            (if id = 1 then
+               Lp_core.Config.make ~force_state:Lp_core.State_kind.Safe ()
+             else Lp_core.Config.default);
           resurrection = true;
-          liveness = Lp_core.Config.Liveness_off;
-          pause_slo_p99_ns = None;
-          gc_packet_size = None;
         })
   in
   let options =
@@ -1127,12 +1131,8 @@ let restart () =
       heap_bytes = 14_000;
       quota_bytes = 14_000;
       rate_per_mille = 2_200;
-      policy = Lp_core.Policy.Default;
-      force_safe = false;
+      config = Lp_core.Config.default;
       resurrection = true;
-      liveness = Lp_core.Config.Liveness_off;
-      pause_slo_p99_ns = None;
-    gc_packet_size = None;
     }
   in
   (* trip bar 1000 permille: the breaker (strict inequality) can never

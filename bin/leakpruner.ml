@@ -27,20 +27,26 @@ let workloads =
     ]
   @ List.map Lp_workloads.Dacapo.workload_of_spec Lp_workloads.Dacapo.suite
 
-let find_workload name =
-  (* Tolerant matching: "ListLeak", "list_leak" and "list-leak" all
-     denote the same workload. *)
+(* Tolerant matching: "ListLeak", "list_leak" and "list-leak" all
+   denote the same workload. An unknown name exits 1. *)
+let lookup_workload name =
   let normalize s =
     String.lowercase_ascii
       (String.concat "" (String.split_on_char '-'
          (String.concat "" (String.split_on_char '_' s))))
   in
   match List.find_opt (fun w -> w.Lp_workloads.Workload.name = name) workloads with
-  | Some _ as found -> found
-  | None ->
-    List.find_opt
-      (fun w -> normalize w.Lp_workloads.Workload.name = normalize name)
-      workloads
+  | Some w -> w
+  | None -> (
+    match
+      List.find_opt
+        (fun w -> normalize w.Lp_workloads.Workload.name = normalize name)
+        workloads
+    with
+    | Some w -> w
+    | None ->
+      Printf.eprintf "unknown workload %S; see `leakpruner list`\n" name;
+      exit 1)
 
 let list_cmd =
   let doc = "List the bundled workloads (the paper's ten leaks and the non-leaking suite)." in
@@ -64,32 +70,44 @@ let policy_conv =
   in
   Arg.conv (parse, Lp_core.Policy.pp)
 
-(* Shared by run, trace and chaos: which tracing engine drives full
-   collections. All engines produce identical prune decisions, counters
-   and heap state by the determinism contract — only the pause profile
-   (and, for par, the wall-clock mark time) differs. *)
+(* Shared by run and trace. *)
+let workload_arg =
+  Arg.(required & pos 0 (some string) None
+       & info [] ~docv:"WORKLOAD"
+           ~doc:"Workload to run (see `leakpruner list`; name matching is \
+                 case- and separator-insensitive).")
+
+let policy_arg =
+  Arg.(value & opt policy_conv Lp_core.Policy.Default
+       & info [ "policy"; "p" ] ~docv:"POLICY"
+           ~doc:"Prediction policy: default, most-stale, indiv-refs, or none (Base).")
+
+let engine_conv =
+  let parse s =
+    match Lp_core.Config.gc_engine_of_string s with
+    | Some e -> Ok e
+    | None ->
+      Error (`Msg (Printf.sprintf "unknown engine %S (seq, inc, par[N] or bsp[N])" s))
+  in
+  Arg.conv
+    ( parse,
+      fun ppf e -> Format.pp_print_string ppf (Lp_core.Config.gc_engine_to_string e) )
+
+(* Which tracing engine drives full collections. All engines produce
+   identical prune decisions, counters and heap state by the determinism
+   contract — only the pause profile (and, for par, the wall-clock mark
+   time) differs. *)
 let gc_engine_arg =
-  Arg.(value
-       & opt
-           (some
-              (enum [ ("seq", `Seq); ("par", `Par); ("inc", `Inc); ("bsp", `Bsp) ]))
-           None
+  Arg.(value & opt (some engine_conv) None
        & info [ "gc-engine" ] ~docv:"ENGINE"
            ~doc:"Tracing engine for stop-the-world collections: $(b,seq) \
-                 (the sequential collector; the default), $(b,par) (the \
-                 deterministic parallel engine; size it with --gc-domains), \
-                 $(b,inc) (the pause-bounded incremental marker; bound it \
-                 with --gc-slice-budget), or $(b,bsp) (the sliced \
-                 bulk-synchronous parallel engine: par's domains, inc's \
-                 pause bound). Reclamation outcomes are identical across \
-                 engines.")
-
-let gc_domains_arg =
-  Arg.(value & opt int 1
-       & info [ "gc-domains" ] ~docv:"N"
-           ~doc:"Collector domains for the parallel engine (2-64; implies \
-                 --gc-engine par). 1, the default, is neutral and leaves \
-                 the engine selection alone.")
+                 (the sequential collector; the default), $(b,par)$(i,N) \
+                 (the deterministic parallel engine on N domains, 2-64; \
+                 bare $(b,par) means 2), $(b,inc) (the pause-bounded \
+                 incremental marker; bound it with --gc-slice-budget), or \
+                 $(b,bsp)$(i,N) (the sliced bulk-synchronous parallel \
+                 engine: par's domains, inc's pause bound). Reclamation \
+                 outcomes are identical across engines.")
 
 let gc_slice_budget_arg =
   Arg.(value & opt (some int) None
@@ -100,16 +118,16 @@ let gc_slice_budget_arg =
                  --pause-slo-p99 this is just the initial budget — the \
                  autopilot retunes it between collections.")
 
-(* Shared by run, trace, chaos and serve: the parallel engines' packet
-   granularity. Like the slice budget, a scheduling knob with no effect
-   on reclamation outcomes. *)
+(* The parallel engines' scheduling knobs: like the slice budget, no
+   effect on reclamation outcomes. *)
 let gc_packet_size_arg =
   Arg.(value & opt (some int) None
        & info [ "gc-packet-size" ] ~docv:"N"
            ~doc:"Frontier objects per work packet in the parallel engines \
-                 (--gc-engine par or bsp; default 32). Output-neutral: \
-                 packets are merged in index order, so boundaries only move \
-                 wall time and steal granularity.")
+                 (--gc-engine par or bsp, or the autopilot, which may \
+                 escalate to bsp; default 32). Output-neutral: packets are \
+                 merged in index order, so boundaries only move wall time \
+                 and steal granularity.")
 
 let gc_steal_arg =
   Arg.(value
@@ -135,7 +153,7 @@ let duration_conv =
       else (s, 1)
     in
     match int_of_string_opt num with
-    | Some v when v > 0 -> Ok (v * mult)
+    | Some v when v > 0 && v <= max_int / mult -> Ok (v * mult)
     | _ ->
       Error
         (`Msg
@@ -146,7 +164,6 @@ let duration_conv =
   in
   Arg.conv (parse, fun ppf ns -> Format.fprintf ppf "%dns" ns)
 
-(* Shared by run, trace, chaos and serve: the pause-SLO autopilot. *)
 let pause_slo_arg =
   Arg.(value & opt (some duration_conv) None
        & info [ "pause-slo-p99" ] ~docv:"DURATION"
@@ -158,16 +175,9 @@ let pause_slo_arg =
                  reclamation stays bit-identical run to run. Needs a sliced \
                  engine; with no --gc-engine it picks inc.")
 
-let slo_floor_arg =
-  Arg.(value & opt (some int) None
-       & info [ "pause-slo-floor" ] ~docv:"N"
-           ~doc:"Lowest slice budget (in objects) the autopilot may tune \
-                 down to (default 32). The floor keeps slices meaningful \
-                 however slow the host.")
-
-(* Shared by run, trace, chaos and serve: whether the static liveness
-   oracle (access-graph analysis over the workload's bytecode model)
-   feeds SELECT as a prior. Off is the exact pre-oracle behaviour. *)
+(* Whether the static liveness oracle (access-graph analysis over the
+   workload's bytecode model) feeds SELECT as a prior. Off is the exact
+   pre-oracle behaviour. *)
 let liveness_arg =
   Arg.(value
        & opt (enum [ ("off", Lp_core.Config.Liveness_off);
@@ -182,90 +192,61 @@ let liveness_arg =
                  are vetoed however stale they get). Workloads without a \
                  bytecode model run unguided even under $(b,guide).")
 
-(* CLI-level reconciliation of the engine flag with the legacy
-   --gc-domains alias: par without an explicit domain count gets a
-   sensible default, seq/inc with a domain count is a contradiction. *)
-let resolve_cli_engine ?pause_slo ?gc_packet_size ?gc_steal gc_engine
-    gc_domains gc_slice_budget =
-  if gc_domains < 1 || gc_domains > 64 then begin
-    Printf.eprintf "leakpruner: --gc-domains must be in [1, 64]\n";
+(* Refuses a configuration the way every subcommand does: exit 2. The
+   config must pass [Config.validate], and each engine flag given
+   explicitly must be read by the engine that actually runs — a flag
+   the resolved engine ignores is an error, not a silent no-op. The
+   autopilot may escalate inc to bsp, so it reads the packet knobs. *)
+let check_config ?gc_slice_budget ?gc_packet_size ?gc_steal
+    (config : Lp_core.Config.t) =
+  let refuse msg =
+    Printf.eprintf "leakpruner: %s\n" msg;
     exit 2
-  end;
-  (match gc_slice_budget with
-  | Some b when b < 1 ->
-    Printf.eprintf "leakpruner: --gc-slice-budget must be >= 1\n";
-    exit 2
-  | _ -> ());
-  (match gc_packet_size with
-  | Some p when p < 1 ->
-    Printf.eprintf "leakpruner: --gc-packet-size must be >= 1\n";
-    exit 2
-  | _ -> ());
-  (match (gc_engine, gc_slice_budget) with
-  | Some ((`Seq | `Par) as e), Some _ ->
-    Printf.eprintf
-      "leakpruner: --gc-slice-budget only applies to the sliced engines \
-       (--gc-engine inc or bsp): %s pauses for whole collections, so there \
-       is no slice to budget. Drop the flag, or pick a sliced engine.\n"
-      (match e with `Seq -> "seq" | `Par -> "par");
-    exit 2
-  | _ -> ());
-  (match (gc_engine, gc_packet_size) with
-  | Some ((`Seq | `Inc) as e), Some _ ->
-    Printf.eprintf
-      "leakpruner: --gc-packet-size only applies to the parallel engines \
-       (--gc-engine par or bsp): %s traces on a single domain, so there are \
-       no work packets to size. Drop the flag, or pick a parallel engine.\n"
-      (match e with `Seq -> "seq" | `Inc -> "inc");
-    exit 2
-  | _ -> ());
-  (match (gc_engine, gc_steal) with
-  | Some ((`Seq | `Inc) as e), Some _ ->
-    Printf.eprintf
-      "leakpruner: --gc-steal only applies to the parallel engines \
-       (--gc-engine par or bsp): %s traces on a single domain, so there are \
-       no packets to steal. Drop the flag, or pick a parallel engine.\n"
-      (match e with `Seq -> "seq" | `Inc -> "inc");
-    exit 2
-  | _ -> ());
-  let resolved =
-    match (gc_engine, gc_domains) with
-    | None, 1 -> None
-    | None, n -> Some (Lp_core.Config.Parallel n)
-    | Some `Seq, 1 -> Some Lp_core.Config.Sequential
-    | Some `Inc, 1 -> Some Lp_core.Config.Incremental
-    | Some `Par, 1 -> Some (Lp_core.Config.Parallel 2)
-    | Some `Par, n -> Some (Lp_core.Config.Parallel n)
-    | Some `Bsp, 1 -> Some (Lp_core.Config.Sliced_bsp 2)
-    | Some `Bsp, n -> Some (Lp_core.Config.Sliced_bsp n)
-    | Some ((`Seq | `Inc) as e), n ->
-      Printf.eprintf
-        "leakpruner: --gc-engine %s conflicts with --gc-domains %d (the alias \
-         implies par)\n"
-        (match e with `Seq -> "seq" | `Inc -> "inc")
-        n;
-      exit 2
   in
-  (match (pause_slo, resolved) with
-  | Some _, Some (Lp_core.Config.Sequential | Lp_core.Config.Parallel _) ->
-    Printf.eprintf
-      "leakpruner: --pause-slo-p99 needs a sliced engine: seq and par pause \
-       for whole collections, so no slice budget can meet a pause target. \
-       Use --gc-engine inc or bsp, or drop --gc-engine (the autopilot then \
-       picks inc).\n";
-    exit 2
-  | _ -> ());
-  resolved
+  (match Lp_core.Config.validate config with
+  | Ok _ -> ()
+  | Error msg -> refuse msg);
+  let engine = Lp_core.Config.gc_engine_to_string config.gc_engine in
+  let sliced, packets =
+    match config.gc_engine with
+    | Sequential -> (false, false)
+    | Parallel _ -> (false, true)
+    | Incremental -> (true, config.pause_slo_p99_ns <> None)
+    | Sliced_bsp _ -> (true, true)
+  in
+  if gc_slice_budget <> None && not sliced then
+    refuse
+      (Printf.sprintf
+         "--gc-slice-budget only applies to the sliced engines (inc or bsp): \
+          %s pauses for whole collections, so there is no slice to budget. \
+          Drop the flag, or pick a sliced engine."
+         engine);
+  let packet_flag flag =
+    refuse
+      (Printf.sprintf
+         "%s only applies to the parallel engines (par or bsp, or inc under \
+          --pause-slo-p99): %s traces on a single domain, so there are no \
+          work packets. Drop the flag, or pick a parallel engine."
+         flag engine)
+  in
+  if gc_packet_size <> None && not packets then packet_flag "--gc-packet-size";
+  if gc_steal <> None && not packets then packet_flag "--gc-steal";
+  config
+
+(* Shared by run, trace and chaos: the engine flags, pause SLO and
+   liveness mode as one checked [Config.t]. *)
+let config_term =
+  let build gc_engine gc_slice_budget gc_packet_size gc_steal pause_slo
+      liveness =
+    check_config ?gc_slice_budget ?gc_packet_size ?gc_steal
+      (Lp_core.Config.make ?gc_engine ?gc_slice_budget ?gc_packet_size
+         ?gc_steal ?pause_slo_p99_ns:pause_slo ~liveness_mode:liveness ())
+  in
+  Term.(const build $ gc_engine_arg $ gc_slice_budget_arg $ gc_packet_size_arg
+        $ gc_steal_arg $ pause_slo_arg $ liveness_arg)
 
 let run_cmd =
   let doc = "Run a workload under a leak-pruning configuration." in
-  let workload_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"WORKLOAD")
-  in
-  let policy_arg =
-    Arg.(value & opt policy_conv Lp_core.Policy.Default
-         & info [ "policy"; "p" ] ~docv:"POLICY" ~doc:"Prediction policy: default, most-stale, indiv-refs, or none (Base).")
-  in
   let heap_arg =
     Arg.(value & opt (some int) None
          & info [ "heap" ] ~docv:"BYTES" ~doc:"Heap size in simulated bytes (default: the workload's, about twice its non-leaking live size).")
@@ -282,55 +263,45 @@ let run_cmd =
          & info [ "prune-at-exhaustion" ]
              ~doc:"Use the paper's option (1): wait until the heap is 100% full before the first prune (Figure 11). Default is option (2), pruning right after a SELECT collection.")
   in
-  let run name policy heap cap trace exhaustion gc_engine gc_domains
-      gc_slice_budget gc_packet_size gc_steal pause_slo slo_floor liveness =
-    let gc_engine =
-      resolve_cli_engine ?pause_slo ?gc_packet_size ?gc_steal gc_engine
-        gc_domains gc_slice_budget
+  let run name policy heap cap trace exhaustion config =
+    let w = lookup_workload name in
+    let report = if trace then Some (fun m -> Printf.printf "[vm] %s\n%!" m) else None in
+    let config =
+      {
+        config with
+        Lp_core.Config.policy;
+        prune_trigger =
+          (if exhaustion then Lp_core.Config.On_exhaustion
+           else Lp_core.Config.On_select_gc);
+        report;
+      }
     in
-    match find_workload name with
-    | None ->
-      Printf.eprintf "unknown workload %S; see `leakpruner list`\n" name;
-      exit 1
-    | Some w ->
-      let report = if trace then Some (fun m -> Printf.printf "[vm] %s\n%!" m) else None in
-      let config =
-        Lp_core.Config.make ~policy
-          ~prune_trigger:
-            (if exhaustion then Lp_core.Config.On_exhaustion
-             else Lp_core.Config.On_select_gc)
-          ?report ?gc_engine ?gc_slice_budget ?gc_packet_size ?gc_steal
-          ?pause_slo_p99_ns:pause_slo ?slo_budget_floor:slo_floor
-          ~liveness_mode:liveness ()
-      in
-      let r = Lp_harness.Driver.run ~config ?heap_bytes:heap ~max_iterations:cap w in
-      Printf.printf "workload:     %s\n" r.Lp_harness.Driver.workload;
-      Printf.printf "policy:       %s\n" (Lp_core.Policy.to_string policy);
-      Printf.printf "heap:         %d bytes\n" r.Lp_harness.Driver.heap_bytes;
-      Printf.printf "iterations:   %d\n" r.Lp_harness.Driver.iterations;
-      Printf.printf "outcome:      %s\n"
-        (Lp_harness.Driver.outcome_to_string r.Lp_harness.Driver.outcome);
-      Printf.printf "collections:  %d\n" r.Lp_harness.Driver.gc_count;
-      Printf.printf "cycles:       %d (%d in the collector)\n"
-        r.Lp_harness.Driver.total_cycles r.Lp_harness.Driver.gc_cycles;
-      Printf.printf "poisoned:     %d references\n" r.Lp_harness.Driver.references_poisoned;
-      Printf.printf "edge types:   %d in the table\n" r.Lp_harness.Driver.edge_table_entries;
-      if liveness = Lp_core.Config.Liveness_guide then
-        Printf.printf "liveness:     %d veto(es), %d boost(s), %d misprediction(s)\n"
-          r.Lp_harness.Driver.liveness_vetoes r.Lp_harness.Driver.liveness_boosts
-          r.Lp_harness.Driver.mispredictions;
-      if r.Lp_harness.Driver.pruned_edge_types <> [] then begin
-        Printf.printf "pruned reference types:\n";
-        List.iter
-          (fun (s, t) -> Printf.printf "  %s -> %s\n" s t)
-          r.Lp_harness.Driver.pruned_edge_types
-      end
+    let r = Lp_harness.Driver.run ~config ?heap_bytes:heap ~max_iterations:cap w in
+    Printf.printf "workload:     %s\n" r.Lp_harness.Driver.workload;
+    Printf.printf "policy:       %s\n" (Lp_core.Policy.to_string policy);
+    Printf.printf "heap:         %d bytes\n" r.Lp_harness.Driver.heap_bytes;
+    Printf.printf "iterations:   %d\n" r.Lp_harness.Driver.iterations;
+    Printf.printf "outcome:      %s\n"
+      (Lp_harness.Driver.outcome_to_string r.Lp_harness.Driver.outcome);
+    Printf.printf "collections:  %d\n" r.Lp_harness.Driver.gc_count;
+    Printf.printf "cycles:       %d (%d in the collector)\n"
+      r.Lp_harness.Driver.total_cycles r.Lp_harness.Driver.gc_cycles;
+    Printf.printf "poisoned:     %d references\n" r.Lp_harness.Driver.references_poisoned;
+    Printf.printf "edge types:   %d in the table\n" r.Lp_harness.Driver.edge_table_entries;
+    if config.liveness_mode = Lp_core.Config.Liveness_guide then
+      Printf.printf "liveness:     %d veto(es), %d boost(s), %d misprediction(s)\n"
+        r.Lp_harness.Driver.liveness_vetoes r.Lp_harness.Driver.liveness_boosts
+        r.Lp_harness.Driver.mispredictions;
+    if r.Lp_harness.Driver.pruned_edge_types <> [] then begin
+      Printf.printf "pruned reference types:\n";
+      List.iter
+        (fun (s, t) -> Printf.printf "  %s -> %s\n" s t)
+        r.Lp_harness.Driver.pruned_edge_types
+    end
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(const run $ workload_arg $ policy_arg $ heap_arg $ cap_arg $ trace_arg
-          $ exhaustion_arg $ gc_engine_arg $ gc_domains_arg
-          $ gc_slice_budget_arg $ gc_packet_size_arg $ gc_steal_arg
-          $ pause_slo_arg $ slo_floor_arg $ liveness_arg)
+          $ exhaustion_arg $ config_term)
 
 let interp_cmd =
   let doc = "Assemble and interpret a bytecode file on the simulated VM (with leak pruning)." in
@@ -396,17 +367,6 @@ let trace_cmd =
      nest, and the reclaimed-bytes total of the prune-decision events must \
      equal the metrics registry's prune.bytes_reclaimed counter."
   in
-  let workload_arg =
-    Arg.(required & opt (some string) None
-         & info [ "workload"; "w" ] ~docv:"WORKLOAD"
-             ~doc:"Workload to run (see `leakpruner list`; name matching is \
-                   case- and separator-insensitive).")
-  in
-  let policy_arg =
-    Arg.(value & opt policy_conv Lp_core.Policy.Default
-         & info [ "policy"; "p" ] ~docv:"POLICY"
-             ~doc:"Prediction policy: default, most-stale, indiv-refs, or none.")
-  in
   let heap_arg =
     Arg.(value & opt (some int) None
          & info [ "heap" ] ~docv:"BYTES" ~doc:"Heap size in simulated bytes.")
@@ -435,152 +395,137 @@ let trace_cmd =
                    holds list_leak at its default cap but not every bundled \
                    workload (MySQL drops millions).")
   in
-  let run name policy heap cap format out buffer gc_engine gc_domains
-      gc_slice_budget gc_packet_size gc_steal pause_slo slo_floor liveness =
-    let gc_engine =
-      resolve_cli_engine ?pause_slo ?gc_packet_size ?gc_steal gc_engine
-        gc_domains gc_slice_budget
+  let run name policy heap cap format out buffer config =
+    let w = lookup_workload name in
+    let config = { config with Lp_core.Config.policy } in
+    let captured = ref None in
+    let r =
+      Lp_harness.Driver.run ~config ?heap_bytes:heap ~max_iterations:cap
+        ~prepare_vm:(fun vm ->
+          ignore (Lp_runtime.Vm.enable_trace ~capacity:buffer vm);
+          captured := Some vm)
+        w
     in
-    match find_workload name with
-    | None ->
-      Printf.eprintf "unknown workload %S; see `leakpruner list`\n" name;
-      exit 1
-    | Some w ->
-      let config =
-        Lp_core.Config.make ~policy ?gc_engine ?gc_slice_budget
-          ?gc_packet_size ?gc_steal ?pause_slo_p99_ns:pause_slo
-          ?slo_budget_floor:slo_floor ~liveness_mode:liveness ()
-      in
-      let captured = ref None in
-      let r =
-        Lp_harness.Driver.run ~config ?heap_bytes:heap ~max_iterations:cap
-          ~prepare_vm:(fun vm ->
-            ignore (Lp_runtime.Vm.enable_trace ~capacity:buffer vm);
-            captured := Some vm)
-          w
-      in
-      let vm = match !captured with Some vm -> vm | None -> assert false in
-      let sink =
-        match Lp_runtime.Vm.sink vm with Some s -> s | None -> assert false
-      in
-      let events = Lp_obs.Sink.events sink in
-      let dropped = Lp_obs.Sink.dropped sink in
-      let registry = Lp_runtime.Vm.registry vm in
-      let class_name id =
-        if id < 0 then "<none>"
-        else
-          try Lp_heap.Class_registry.name registry id
-          with _ -> Printf.sprintf "class#%d" id
-      in
-      let snap = Lp_runtime.Vm.metrics_snapshot vm in
-      (* Audit cross-check: the trace and the registry must tell the
-         same story. Only sound when the ring dropped nothing. *)
-      let audit_errors = ref [] in
-      let audit msg ok = if not ok then audit_errors := msg :: !audit_errors in
-      (if dropped = 0 then begin
-         let sum =
-           List.fold_left
-             (fun acc (st : Lp_obs.Event.stamped) ->
-               match st.Lp_obs.Event.ev with
-               | Lp_obs.Event.Prune_decision { bytes_reclaimed; _ } ->
-                 acc + bytes_reclaimed
-               | _ -> acc)
-             0 events
-         in
-         let counter =
-           match Lp_obs.Metrics.find_counter snap "prune.bytes_reclaimed" with
-           | Some v -> v
-           | None -> 0
-         in
+    let vm = match !captured with Some vm -> vm | None -> assert false in
+    let sink =
+      match Lp_runtime.Vm.sink vm with Some s -> s | None -> assert false
+    in
+    let events = Lp_obs.Sink.events sink in
+    let dropped = Lp_obs.Sink.dropped sink in
+    let registry = Lp_runtime.Vm.registry vm in
+    let class_name id =
+      if id < 0 then "<none>"
+      else
+        try Lp_heap.Class_registry.name registry id
+        with _ -> Printf.sprintf "class#%d" id
+    in
+    let snap = Lp_runtime.Vm.metrics_snapshot vm in
+    (* Audit cross-check: the trace and the registry must tell the
+       same story. Only sound when the ring dropped nothing. *)
+    let audit_errors = ref [] in
+    let audit msg ok = if not ok then audit_errors := msg :: !audit_errors in
+    (if dropped = 0 then begin
+       let sum =
+         List.fold_left
+           (fun acc (st : Lp_obs.Event.stamped) ->
+             match st.Lp_obs.Event.ev with
+             | Lp_obs.Event.Prune_decision { bytes_reclaimed; _ } ->
+               acc + bytes_reclaimed
+             | _ -> acc)
+           0 events
+       in
+       let counter =
+         match Lp_obs.Metrics.find_counter snap "prune.bytes_reclaimed" with
+         | Some v -> v
+         | None -> 0
+       in
+       audit
+         (Printf.sprintf
+            "prune-decision events sum to %d bytes but prune.bytes_reclaimed \
+             is %d"
+            sum counter)
+         (sum = counter);
+       (* liveness prune audit: the trace's veto/boost events and the
+          controller's counters must tell the same story *)
+       if config.liveness_mode = Lp_core.Config.Liveness_guide then begin
+         let verdicts = ref 0 and vetoes = ref 0 and boosts = ref 0 in
+         List.iter
+           (fun (st : Lp_obs.Event.stamped) ->
+             match st.Lp_obs.Event.ev with
+             | Lp_obs.Event.Liveness_verdict _ -> incr verdicts
+             | Lp_obs.Event.Liveness_veto _ -> incr vetoes
+             | Lp_obs.Event.Liveness_boost _ -> incr boosts
+             | _ -> ())
+           events;
+         let ctl = Lp_runtime.Vm.controller vm in
          audit
            (Printf.sprintf
-              "prune-decision events sum to %d bytes but prune.bytes_reclaimed \
-               is %d"
-              sum counter)
-           (sum = counter);
-         (* liveness prune audit: the trace's veto/boost events and the
-            controller's counters must tell the same story *)
-         if liveness = Lp_core.Config.Liveness_guide then begin
-           let verdicts = ref 0 and vetoes = ref 0 and boosts = ref 0 in
-           List.iter
-             (fun (st : Lp_obs.Event.stamped) ->
-               match st.Lp_obs.Event.ev with
-               | Lp_obs.Event.Liveness_verdict _ -> incr verdicts
-               | Lp_obs.Event.Liveness_veto _ -> incr vetoes
-               | Lp_obs.Event.Liveness_boost _ -> incr boosts
-               | _ -> ())
-             events;
-           let ctl = Lp_runtime.Vm.controller vm in
-           audit
-             (Printf.sprintf
-                "trace has %d liveness veto(es) but the controller counted %d"
-                !vetoes
-                (Lp_core.Controller.liveness_vetoes ctl))
-             (!vetoes = Lp_core.Controller.liveness_vetoes ctl);
-           audit
-             (Printf.sprintf
-                "trace has %d liveness boost(s) but the controller counted %d"
-                !boosts
-                (Lp_core.Controller.liveness_boosts ctl))
-             (!boosts = Lp_core.Controller.liveness_boosts ctl);
-           Printf.eprintf
-             "leakpruner: trace: prune audit: %d liveness verdict(s), %d \
-              veto(es), %d boost(s), %d dead-read(s)\n"
-             !verdicts !vetoes !boosts
-             (Lp_core.Controller.liveness_dead_reads ctl)
-         end
+              "trace has %d liveness veto(es) but the controller counted %d"
+              !vetoes
+              (Lp_core.Controller.liveness_vetoes ctl))
+           (!vetoes = Lp_core.Controller.liveness_vetoes ctl);
+         audit
+           (Printf.sprintf
+              "trace has %d liveness boost(s) but the controller counted %d"
+              !boosts
+              (Lp_core.Controller.liveness_boosts ctl))
+           (!boosts = Lp_core.Controller.liveness_boosts ctl);
+         Printf.eprintf
+           "leakpruner: trace: prune audit: %d liveness verdict(s), %d \
+            veto(es), %d boost(s), %d dead-read(s)\n"
+           !verdicts !vetoes !boosts
+           (Lp_core.Controller.liveness_dead_reads ctl)
        end
-       else
-         audit
-           (Printf.sprintf
-              "ring dropped %d event(s), so the trace is incomplete and the \
-               audit cross-check cannot run; raise --buffer"
-              dropped)
-           false);
-      let output =
-        match format with
-        | `Jsonl ->
-          let s = Lp_obs.Export.to_jsonl ~class_name events in
-          (match Lp_obs.Json.validate_jsonl s with
-          | Ok _ -> ()
-          | Error e -> audit (Printf.sprintf "JSONL self-check failed: %s" e) false);
-          s
-        | `Chrome ->
-          let s = Lp_obs.Export.to_chrome_trace ~class_name ~dropped events in
-          (match Lp_obs.Json.parse s with
-          | Ok _ -> ()
-          | Error e -> audit (Printf.sprintf "Chrome trace is not valid JSON: %s" e) false);
-          (match
-             Lp_obs.Export.check_spans ~allow_truncated_head:(dropped > 0) events
-           with
-          | Ok _ -> ()
-          | Error e -> audit (Printf.sprintf "span nesting check failed: %s" e) false);
-          s
-        | `Metrics -> Lp_obs.Metrics.to_text snap
-      in
-      (match out with
-      | None -> print_string output
-      | Some file ->
-        let oc = open_out file in
-        output_string oc output;
-        close_out oc);
-      Printf.eprintf
-        "leakpruner: trace: %s ran %d iteration(s) (%s); %d event(s) retained, \
-         %d dropped\n"
-        r.Lp_harness.Driver.workload r.Lp_harness.Driver.iterations
-        (Lp_harness.Driver.outcome_to_string r.Lp_harness.Driver.outcome)
-        (List.length events) dropped;
-      match !audit_errors with
-      | [] -> ()
-      | errors ->
-        List.iter (Printf.eprintf "leakpruner: trace: AUDIT FAILED: %s\n") errors;
-        exit 1
+     end
+     else
+       audit
+         (Printf.sprintf
+            "ring dropped %d event(s), so the trace is incomplete and the \
+             audit cross-check cannot run; raise --buffer"
+            dropped)
+         false);
+    let output =
+      match format with
+      | `Jsonl ->
+        let s = Lp_obs.Export.to_jsonl ~class_name events in
+        (match Lp_obs.Json.validate_jsonl s with
+        | Ok _ -> ()
+        | Error e -> audit (Printf.sprintf "JSONL self-check failed: %s" e) false);
+        s
+      | `Chrome ->
+        let s = Lp_obs.Export.to_chrome_trace ~class_name ~dropped events in
+        (match Lp_obs.Json.parse s with
+        | Ok _ -> ()
+        | Error e -> audit (Printf.sprintf "Chrome trace is not valid JSON: %s" e) false);
+        (match
+           Lp_obs.Export.check_spans ~allow_truncated_head:(dropped > 0) events
+         with
+        | Ok _ -> ()
+        | Error e -> audit (Printf.sprintf "span nesting check failed: %s" e) false);
+        s
+      | `Metrics -> Lp_obs.Metrics.to_text snap
+    in
+    (match out with
+    | None -> print_string output
+    | Some file ->
+      let oc = open_out file in
+      output_string oc output;
+      close_out oc);
+    Printf.eprintf
+      "leakpruner: trace: %s ran %d iteration(s) (%s); %d event(s) retained, \
+       %d dropped\n"
+      r.Lp_harness.Driver.workload r.Lp_harness.Driver.iterations
+      (Lp_harness.Driver.outcome_to_string r.Lp_harness.Driver.outcome)
+      (List.length events) dropped;
+    match !audit_errors with
+    | [] -> ()
+    | errors ->
+      List.iter (Printf.eprintf "leakpruner: trace: AUDIT FAILED: %s\n") errors;
+      exit 1
   in
   Cmd.v (Cmd.info "trace" ~doc)
     Term.(const run $ workload_arg $ policy_arg $ heap_arg $ cap_arg
-          $ format_arg $ out_arg $ buffer_arg $ gc_engine_arg $ gc_domains_arg
-          $ gc_slice_budget_arg $ gc_packet_size_arg $ gc_steal_arg
-          $ pause_slo_arg $ slo_floor_arg $ liveness_arg)
+          $ format_arg $ out_arg $ buffer_arg $ config_term)
 
 let chaos_cmd =
   let doc =
@@ -619,13 +564,11 @@ let chaos_cmd =
      re-run traced, exported as a Chrome trace. Reruns are exact (the
      run is a deterministic function of seed and cap, and tracing never
      changes behaviour), so the trace shows the actual failure. *)
-  let write_failure_trace ~faults ~gc_engine ~gc_slice_budget ~gc_packet_size
-      ~gc_steal ~pause_slo ~liveness ~steps ~seed dir =
+  let write_failure_trace ~faults ~config ~steps ~seed dir =
     (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
     let r =
-      Lp_harness.Chaos.run_one ~faults ?gc_engine ?gc_slice_budget
-        ?gc_packet_size ?gc_steal ?pause_slo_p99_ns:pause_slo ~liveness ~steps
-        ~trace_capacity:65_536 ~seed ()
+      Lp_harness.Chaos.run_one ~faults ~config ~steps ~trace_capacity:65_536
+        ~seed ()
     in
     let file = Filename.concat dir (Printf.sprintf "chaos_seed_%d.trace.json" seed) in
     let oc = open_out file in
@@ -661,45 +604,28 @@ let chaos_cmd =
       | Lp_harness.Chaos.Survived -> ""
       | o -> "  (" ^ Lp_harness.Chaos.outcome_to_string o ^ ")")
   in
-  let run seeds steps no_faults seed quiet trace_dir gc_engine_flag gc_domains
-      gc_slice_budget gc_packet_size gc_steal pause_slo liveness =
+  let run seeds steps no_faults seed quiet trace_dir config =
     if seeds < 0 || steps < 0 then begin
       Printf.eprintf "leakpruner: chaos: --seeds and --steps must be non-negative\n";
       exit 2
     end;
-    let gc_engine =
-      resolve_cli_engine ?pause_slo ?gc_packet_size ?gc_steal gc_engine_flag
-        gc_domains gc_slice_budget
-    in
     let faults = not no_faults in
     match seed with
     | Some seed ->
-      let r =
-        Lp_harness.Chaos.run_one ~faults ?gc_engine ?gc_slice_budget
-          ?gc_packet_size ?gc_steal ?pause_slo_p99_ns:pause_slo ~liveness
-          ~steps ~seed ()
-      in
+      let r = Lp_harness.Chaos.run_one ~faults ~config ~steps ~seed () in
       print_report r;
       (* the reproduce oracle compares untimed state only: with the
          autopilot armed, a traced run would carry wall-clock Slo_adjust
          budgets, but these runs are untraced and every scalar field is
          deterministic by the outcome-neutrality of budgets *)
-      (match
-         Lp_harness.Chaos.run_one ~faults ?gc_engine ?gc_slice_budget
-           ?gc_packet_size ?gc_steal ?pause_slo_p99_ns:pause_slo ~liveness
-           ~steps ~seed ()
-       with
+      (match Lp_harness.Chaos.run_one ~faults ~config ~steps ~seed () with
       | r' when r' = r -> ()
       | _ -> Printf.printf "WARNING: seed %d did not reproduce identically\n" seed);
       if faults then
         print_endline
           (Lp_fault.Fault_plan.describe (Lp_fault.Fault_plan.random ~seed ()));
       if Lp_harness.Chaos.failed r then begin
-        let shrunk =
-          Lp_harness.Chaos.shrink ~faults ?gc_engine ?gc_slice_budget
-            ?gc_packet_size ?gc_steal ?pause_slo_p99_ns:pause_slo ~liveness
-            ~steps ~seed ()
-        in
+        let shrunk = Lp_harness.Chaos.shrink ~faults ~config ~steps ~seed () in
         (match shrunk with
         | Some n -> Printf.printf "minimal reproduction: %d step(s)\n" n
         | None -> ());
@@ -707,8 +633,7 @@ let chaos_cmd =
         | Some dir ->
           (* replays run under the failing engine selection, so the trace
              shows that engine's rounds when that is where it failed *)
-          write_failure_trace ~faults ~gc_engine ~gc_slice_budget
-            ~gc_packet_size ~gc_steal ~pause_slo ~liveness
+          write_failure_trace ~faults ~config
             ~steps:(match shrunk with Some n -> n | None -> steps)
             ~seed dir
         | None -> ());
@@ -720,9 +645,7 @@ let chaos_cmd =
     | None ->
       let failures = ref 0 in
       let reports =
-        Lp_harness.Chaos.run_seeds ~faults ?gc_engine ?gc_slice_budget
-          ?gc_packet_size ?gc_steal ?pause_slo_p99_ns:pause_slo ~liveness
-          ~steps ~seeds
+        Lp_harness.Chaos.run_seeds ~faults ~config ~steps ~seeds
           ~progress:(fun r ->
             let bad =
               Lp_harness.Chaos.failed r
@@ -748,9 +671,7 @@ let chaos_cmd =
           if Lp_harness.Chaos.failed r then begin
             let seed = r.Lp_harness.Chaos.seed in
             let shrunk =
-              Lp_harness.Chaos.shrink ~faults ?gc_engine ?gc_slice_budget
-                ?gc_packet_size ?gc_steal ?pause_slo_p99_ns:pause_slo
-                ~liveness ~steps ~seed ()
+              Lp_harness.Chaos.shrink ~faults ~config ~steps ~seed ()
             in
             (match shrunk with
             | Some n ->
@@ -758,8 +679,7 @@ let chaos_cmd =
             | None -> ());
             match trace_dir with
             | Some dir ->
-              write_failure_trace ~faults ~gc_engine ~gc_slice_budget
-                ~gc_packet_size ~gc_steal ~pause_slo ~liveness
+              write_failure_trace ~faults ~config
                 ~steps:(match shrunk with Some n -> n | None -> steps)
                 ~seed dir
             | None -> ()
@@ -769,8 +689,7 @@ let chaos_cmd =
   in
   Cmd.v (Cmd.info "chaos" ~doc)
     Term.(const run $ seeds_arg $ steps_arg $ no_faults_arg $ seed_arg $ quiet_arg
-          $ trace_dir_arg $ gc_engine_arg $ gc_domains_arg $ gc_slice_budget_arg
-          $ gc_packet_size_arg $ gc_steal_arg $ pause_slo_arg $ liveness_arg)
+          $ trace_dir_arg $ config_term)
 
 let serve_cmd =
   let doc =
@@ -979,20 +898,12 @@ let serve_cmd =
       Printf.eprintf "leakpruner: serve: --rounds must be >= 1\n";
       exit 2
     end;
-    let w =
-      match find_workload workload with
-      | Some w -> w
-      | None ->
-        Printf.eprintf "unknown workload %S; see `leakpruner list`\n" workload;
-        exit 1
-    in
-    (match gc_packet_size with
-    | Some p when p < 1 ->
-      Printf.eprintf "leakpruner: serve: --gc-packet-size must be >= 1\n";
-      exit 2
-    | _ -> ());
-    let admission =
-      Lp_core.Config.make ?gc_packet_size ~admission_retry_cap:retry_cap
+    let w = lookup_workload workload in
+    (* one config for admission and every tenant VM (which ignores the
+       fleet-level fields) *)
+    let config =
+      Lp_core.Config.make ~liveness_mode:liveness ?pause_slo_p99_ns:pause_slo
+        ?gc_packet_size ~admission_retry_cap:retry_cap
         ~admission_backoff_base:backoff_base
         ~admission_backoff_ceiling:backoff_ceiling ~offload_deadline:deadline
         ~quarantine_rounds:quarantine
@@ -1001,12 +912,8 @@ let serve_cmd =
         ~cold_restart_limit:cold_limit ~retire_limit
         ~storm_window_rounds:storm_window ~storm_trip_permille:storm_trip
         ~storm_cooldown_rounds:storm_cooldown ()
+      |> check_config ?gc_packet_size
     in
-    (match Lp_core.Config.validate admission with
-    | Ok _ -> ()
-    | Error msg ->
-      Printf.eprintf "leakpruner: serve: invalid admission config: %s\n" msg;
-      exit 2);
     let specs =
       List.init tenants (fun id ->
           {
@@ -1016,12 +923,11 @@ let serve_cmd =
             heap_bytes = heap;
             quota_bytes = quota;
             rate_per_mille = rate;
-            policy = Lp_core.Policy.Default;
-            force_safe = List.mem id force_safe;
+            config =
+              (if List.mem id force_safe then
+                 { config with force_state = Some Lp_core.State_kind.Safe }
+               else config);
             resurrection = true;
-            liveness;
-            pause_slo_p99_ns = pause_slo;
-            gc_packet_size;
           })
     in
     let options seed =
@@ -1029,7 +935,7 @@ let serve_cmd =
       {
         base with
         Lp_fleet.Fleet.requests_per_round = max 1 (rate / 1000);
-        admission;
+        admission = config;
         capacity_bytes =
           (match capacity with
           | Some c -> c

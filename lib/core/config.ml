@@ -8,6 +8,26 @@ let gc_engine_to_string = function
   | Incremental -> "inc"
   | Sliced_bsp n -> Printf.sprintf "bsp%d" n
 
+(* The inverse of [gc_engine_to_string]; bare "par" and "bsp" mean 2
+   domains. The domain count is only parsed here — [validate] owns the
+   range check. *)
+let gc_engine_of_string s =
+  let with_domains make =
+    let digits = String.sub s 3 (String.length s - 3) in
+    if digits = "" then Some (make 2)
+    else if String.for_all (function '0' .. '9' -> true | _ -> false) digits
+    then Option.map make (int_of_string_opt digits)
+    else None
+  in
+  match s with
+  | "seq" -> Some Sequential
+  | "inc" -> Some Incremental
+  | _ when String.starts_with ~prefix:"par" s ->
+    with_domains (fun n -> Parallel n)
+  | _ when String.starts_with ~prefix:"bsp" s ->
+    with_domains (fun n -> Sliced_bsp n)
+  | _ -> None
+
 (* Whether the static liveness oracle (lp_liveness) participates in
    SELECT. [Liveness_off] is bit-for-bit the pre-oracle behavior;
    [Liveness_guide] lets an installed oracle veto or boost candidates. *)
@@ -62,13 +82,8 @@ type t = {
   (* Pause-SLO autopilot (lib/slo). [pause_slo_p99_ns = Some target]
      arms it: the slice budget is retuned between collections from
      wall-clock pause feedback, and the engine may be switched per
-     collection between [Incremental] and [Sliced_bsp slo_domains].
-     Budgets never drop below [slo_budget_floor] objects, so the
-     deterministic count-based CI gates keep holding. *)
+     collection between [Incremental] and [Sliced_bsp]. *)
   pause_slo_p99_ns : int option;
-  slo_budget_floor : int;
-  slo_domains : int;
-  slo_escalate_permille : int;
 }
 
 let default =
@@ -111,28 +126,7 @@ let default =
     liveness_mode = Liveness_off;
     liveness_boost = 1;
     pause_slo_p99_ns = None;
-    slo_budget_floor = 32;
-    slo_domains = 2;
-    slo_escalate_permille = 125;
   }
-
-(* [gc_domains] survives as an alias for the engine selection it used to
-   imply: 1 is the sequential engine, [n > 1] the parallel engine on
-   [n] domains. Passing both spellings is allowed only when they agree
-   ([gc_domains = 1] agrees with everything — it is the neutral
-   default). *)
-let resolve_engine ?gc_engine ?gc_domains () =
-  match (gc_engine, gc_domains) with
-  | None, None | None, Some 1 -> Ok default.gc_engine
-  | None, Some n -> Ok (Parallel n)
-  | Some e, None | Some e, Some 1 -> Ok e
-  | Some (Parallel m), Some n when m = n -> Ok (Parallel m)
-  | Some (Sliced_bsp m), Some n when m = n -> Ok (Sliced_bsp m)
-  | Some e, Some n ->
-    Error
-      (Printf.sprintf
-         "gc_engine %s conflicts with gc_domains %d (the alias implies par%d)"
-         (gc_engine_to_string e) n n)
 
 let make ?(policy = default.policy) ?(observe_threshold = default.observe_threshold)
     ?(nearly_full_threshold = default.nearly_full_threshold)
@@ -148,7 +142,7 @@ let make ?(policy = default.policy) ?(observe_threshold = default.observe_thresh
     ?(safe_mode_threshold = default.safe_mode_threshold)
     ?(safe_mode_collections = default.safe_mode_collections)
     ?(resurrection_alloc_attempts = default.resurrection_alloc_attempts)
-    ?gc_engine ?gc_domains ?(gc_slice_budget = default.gc_slice_budget)
+    ?gc_engine ?(gc_slice_budget = default.gc_slice_budget)
     ?(gc_packet_size = default.gc_packet_size)
     ?(gc_steal = default.gc_steal)
     ?(admission_retry_cap = default.admission_retry_cap)
@@ -166,28 +160,17 @@ let make ?(policy = default.policy) ?(observe_threshold = default.observe_thresh
     ?(storm_trip_permille = default.storm_trip_permille)
     ?(storm_cooldown_rounds = default.storm_cooldown_rounds)
     ?(liveness_mode = default.liveness_mode)
-    ?(liveness_boost = default.liveness_boost) ?pause_slo_p99_ns
-    ?(slo_budget_floor = default.slo_budget_floor)
-    ?(slo_domains = default.slo_domains)
-    ?(slo_escalate_permille = default.slo_escalate_permille) () =
-  let explicit_engine = gc_engine <> None in
-  let resolved =
-    match resolve_engine ?gc_engine ?gc_domains () with
-    | Ok e -> e
-    | Error msg -> invalid_arg ("Config.make: " ^ msg)
-  in
+    ?(liveness_boost = default.liveness_boost) ?pause_slo_p99_ns () =
   (* An SLO without an explicit engine choice means "let the autopilot
      drive": start from the incremental engine (already sliced, so the
      very first collection respects the taxonomy the SLO gate checks).
      An explicitly chosen monolithic engine survives to [validate],
      which rejects the combination with an actionable message. *)
   let gc_engine =
-    if
-      pause_slo_p99_ns <> None
-      && (not explicit_engine)
-      && (gc_domains = None || gc_domains = Some 1)
-    then Incremental
-    else resolved
+    match (gc_engine, pause_slo_p99_ns) with
+    | Some e, _ -> e
+    | None, Some _ -> Incremental
+    | None, None -> default.gc_engine
   in
   {
     policy;
@@ -228,15 +211,7 @@ let make ?(policy = default.policy) ?(observe_threshold = default.observe_thresh
     liveness_mode;
     liveness_boost;
     pause_slo_p99_ns;
-    slo_budget_floor;
-    slo_domains;
-    slo_escalate_permille;
   }
-
-let gc_domains t =
-  match t.gc_engine with
-  | Parallel n | Sliced_bsp n -> n
-  | Sequential | Incremental -> 1
 
 let validate t =
   if t.observe_threshold <= 0.0 || t.observe_threshold >= 1.0 then
@@ -304,9 +279,4 @@ let validate t =
       "pause_slo_p99_ns requires a sliced engine (inc or bsp): the seq/par \
        engines pause for whole collections, so no slice budget can hold the \
        SLO"
-  else if t.slo_budget_floor < 1 then Error "slo_budget_floor must be >= 1"
-  else if t.slo_domains < 2 || t.slo_domains > 64 then
-    Error "slo_domains must be in [2, 64]"
-  else if t.slo_escalate_permille < 1 || t.slo_escalate_permille > 1000 then
-    Error "slo_escalate_permille must be in [1, 1000]"
   else Ok t

@@ -30,6 +30,12 @@ type gc_engine =
 val gc_engine_to_string : gc_engine -> string
 (** ["seq"], ["par<n>"], ["inc"], ["bsp<n>"]. *)
 
+val gc_engine_of_string : string -> gc_engine option
+(** The inverse of {!gc_engine_to_string}: ["seq"], ["inc"], ["par<n>"]
+    and ["bsp<n>"] with [<n>] a decimal domain count; bare ["par"] and
+    ["bsp"] mean 2 domains. The domain range is {!validate}'s to
+    check. *)
+
 type liveness_mode =
   | Liveness_off
       (** the static liveness oracle is ignored; behavior is bit-for-bit
@@ -41,13 +47,6 @@ type liveness_mode =
 
 val liveness_mode_to_string : liveness_mode -> string
 (** ["off"], ["guide"]. *)
-
-val resolve_engine :
-  ?gc_engine:gc_engine -> ?gc_domains:int -> unit -> (gc_engine, string) result
-(** Resolves the engine selection against the legacy [gc_domains] alias
-    (1 implies [Sequential], [n > 1] implies [Parallel n]). [Error]
-    when both are given and disagree; [gc_domains = 1] is neutral and
-    agrees with everything. *)
 
 type t = {
   policy : Policy.t;
@@ -189,21 +188,6 @@ type t = {
           is chosen explicitly, {!make} defaults it to [Incremental].
           Outcome-neutral by construction: budgets and engine choice
           only move slice boundaries. Default [None] (autopilot off) *)
-  slo_budget_floor : int;
-      (** the deterministic object-count floor under the autopilot's
-          nanosecond-denominated budget: a retuned slice budget never
-          drops below this many objects, so the count-based CI gates
-          stay meaningful however slow the host; must be [>= 1];
-          default 32 *)
-  slo_domains : int;
-      (** domains the autopilot's [Sliced_bsp] escalation engine runs
-          on when SELECT predicts a large stale closure; range
-          [2, 64]; default 2 *)
-  slo_escalate_permille : int;
-      (** escalate to [Sliced_bsp] when the last SELECT's predicted
-          stale-closure size exceeds this fraction (in per-mille) of
-          the heap limit — a deterministic signal, so engine switching
-          is reproducible run to run; range [1, 1000]; default 125 *)
 }
 
 val default : t
@@ -227,7 +211,6 @@ val make :
   ?safe_mode_collections:int ->
   ?resurrection_alloc_attempts:int ->
   ?gc_engine:gc_engine ->
-  ?gc_domains:int ->
   ?gc_slice_budget:int ->
   ?gc_packet_size:int ->
   ?gc_steal:bool ->
@@ -248,18 +231,8 @@ val make :
   ?liveness_mode:liveness_mode ->
   ?liveness_boost:int ->
   ?pause_slo_p99_ns:int ->
-  ?slo_budget_floor:int ->
-  ?slo_domains:int ->
-  ?slo_escalate_permille:int ->
   unit ->
   t
-(** [gc_domains] is kept as a legacy alias for the engine selection
-    ({!resolve_engine}); passing it together with an inconsistent
-    [gc_engine] raises [Invalid_argument]. *)
-
-val gc_domains : t -> int
-(** The collector domain count the engine selection implies
-    ([Parallel n] and [Sliced_bsp n] give [n]; everything else 1). *)
 
 val validate : t -> (t, string) result
 (** Checks threshold ordering and ranges. *)

@@ -21,9 +21,10 @@ type site =
   | Swap  (** every swap-image write (pruned-object serialization) *)
   | Mark
       (** every full-heap collection's mark phase; the VM checks this
-          site once per collection regardless of [Config.gc_domains],
-          so fault streams stay aligned across domain counts — at 1
-          domain the parallel faults are structurally no-ops *)
+          site once per collection regardless of [Config.gc_engine],
+          so fault streams stay aligned across engines — on the
+          single-domain engines the parallel faults are structurally
+          no-ops *)
   | Fleet
       (** every fleet scheduler round (the multi-tenant serve loop);
           owned by [Lp_fleet.Fleet], which applies the tenant-kill and

@@ -7,12 +7,8 @@ type spec = {
   heap_bytes : int;
   quota_bytes : int;
   rate_per_mille : int;
-  policy : Lp_core.Policy.t;
-  force_safe : bool;
+  config : Lp_core.Config.t;
   resurrection : bool;
-  liveness : Lp_core.Config.liveness_mode;
-  pause_slo_p99_ns : int option;
-  gc_packet_size : int option;
 }
 
 exception Verifier_failed of string
@@ -92,13 +88,7 @@ type t = {
 let spec t = t.spec
 
 let new_vm ?swap_store ?first_object_id (s : spec) backend =
-  let config =
-    Lp_core.Config.make ~policy:s.policy ~liveness_mode:s.liveness
-      ?pause_slo_p99_ns:s.pause_slo_p99_ns ?gc_packet_size:s.gc_packet_size
-      ?force_state:(if s.force_safe then Some Lp_core.State_kind.Safe else None)
-      ()
-  in
-  Vm.create ~config
+  Vm.create ~config:s.config
     ~disk:(Diskswap.default_config ~disk_limit_bytes:s.quota_bytes)
     ~swap_backend:backend ?swap_store ~resurrection:s.resurrection
     ?first_object_id ~heap_bytes:s.heap_bytes ()
@@ -120,7 +110,10 @@ let install t =
            raise (Verifier_failed msg)));
   (* the static prior is part of the tenant's VM configuration, so a
      restart reinstalls it on the fresh VM before prepare runs *)
-  (match (t.spec.liveness, t.spec.workload.Lp_workloads.Workload.bytecode) with
+  (match
+     ( t.spec.config.Lp_core.Config.liveness_mode,
+       t.spec.workload.Lp_workloads.Workload.bytecode )
+   with
   | Lp_core.Config.Liveness_guide, Some bytecode ->
     Liveness_oracle.install vm ~bytecode
       ~field_map:t.spec.workload.Lp_workloads.Workload.field_map

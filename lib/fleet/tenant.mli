@@ -25,27 +25,14 @@ type spec = {
   heap_bytes : int;
   quota_bytes : int;  (** shared-disk quota ([Diskswap] admission bound) *)
   rate_per_mille : int;  (** arrival rate, requests per 1000 rounds *)
-  policy : Lp_core.Policy.t;
-  force_safe : bool;
-      (** pin the controller in SAFE state (pruning moratorium) for the
-          tenant's whole life — the isolation experiments' "faulty
-          neighbour" that can never reclaim *)
+  config : Lp_core.Config.t;
+      (** the tenant VM's configuration, applied afresh on every
+          restart. [force_state = Some Safe] pins the controller in SAFE
+          (a pruning moratorium) for the tenant's whole life — the
+          isolation experiments' "faulty neighbour" that can never
+          reclaim. [liveness_mode = Liveness_guide] installs the static
+          liveness prior when the workload publishes bytecode. *)
   resurrection : bool;
-  liveness : Lp_core.Config.liveness_mode;
-      (** [Liveness_guide] installs the static liveness prior on the
-          tenant's controller (when its workload publishes bytecode) —
-          reinstalled on every restart, like the rest of the VM
-          configuration. [Liveness_off] changes nothing. *)
-  pause_slo_p99_ns : int option;
-      (** per-tenant pause SLO: [Some target] arms this tenant's
-          pause-SLO autopilot ({!Lp_core.Config.pause_slo_p99_ns}) —
-          re-armed fresh on every restart, like the rest of the VM
-          configuration. Outcome-neutral, so mixed-SLO fleets keep the
-          determinism oracle intact. [None] changes nothing. *)
-  gc_packet_size : int option;
-      (** parallel-engine packet granularity for this tenant's VM
-          ({!Lp_core.Config.gc_packet_size}); output-neutral, so it is
-          safe to vary per tenant. [None] keeps the config default. *)
 }
 
 exception Verifier_failed of string

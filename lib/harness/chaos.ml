@@ -94,10 +94,8 @@ let liveness_field_map =
 
 let default_steps = 300
 
-let run_one ?(faults = true) ?gc_engine ?(gc_domains = 1) ?gc_slice_budget
-    ?gc_packet_size ?gc_steal ?pause_slo_p99_ns
-    ?(liveness = Lp_core.Config.Liveness_off) ?(steps = default_steps)
-    ?trace_capacity ~seed () =
+let run_one ?(faults = true) ?(config = Lp_core.Config.default)
+    ?(steps = default_steps) ?trace_capacity ~seed () =
   let rng = Random.State.make [| 0xC4A05; seed |] in
   (* The VM shape is drawn from the seed too, so a seed sweep covers
      small and large heaps, generational and whole-heap collection, and
@@ -115,17 +113,8 @@ let run_one ?(faults = true) ?gc_engine ?(gc_domains = 1) ?gc_slice_budget
      paper's prune-means-gone semantics in the sweep. *)
   let resurrection = Random.State.int rng 4 > 0 in
   let plan = if faults then Some (Lp_fault.Fault_plan.random ~seed ()) else None in
-  (* [Config.make ()] is [Config.default], so with no engine selection
-     this is the exact VM every chaos run always built. Both spellings
-     pass through so callers can use either; [Config.resolve_engine]
-     reconciles them (gc_domains = 1, the default here, is neutral). *)
   let vm =
-    Lp_runtime.Vm.create
-      ~config:
-        (Lp_core.Config.make ?gc_engine ~gc_domains ?gc_slice_budget
-           ?gc_packet_size ?gc_steal ?pause_slo_p99_ns
-           ~liveness_mode:liveness ())
-      ?disk ~resurrection ?nursery_bytes ?fault:plan ~heap_bytes ()
+    Lp_runtime.Vm.create ~config ?disk ~resurrection ?nursery_bytes ?fault:plan ~heap_bytes ()
   in
   (* [with_vm]: even though the outcome net below catches everything the
      body can raise, teardown must not depend on that — a sweep over
@@ -189,7 +178,7 @@ let run_one ?(faults = true) ?gc_engine ?(gc_domains = 1) ?gc_slice_budget
   let leak_class = Lp_runtime.Vm.register_class vm "Chaos$Leak" in
   (* Guided runs install the static prior before the first step; off
      mode touches nothing, keeping its reports byte-identical. *)
-  (match liveness with
+  (match config.Lp_core.Config.liveness_mode with
   | Lp_core.Config.Liveness_guide ->
     Driver.install_liveness vm ~bytecode:liveness_bytecode
       ~field_map:liveness_field_map
@@ -365,7 +354,7 @@ let run_one ?(faults = true) ?gc_engine ?(gc_domains = 1) ?gc_slice_budget
       | None -> Crash { detail = Printexc.to_string e; step = !executed })
     | e -> Crash { detail = Printexc.to_string e; step = !executed }
   in
-  (* joins the collector domains (no-op at gc_domains = 1): a sweep over
+  (* joins the collector domains (no-op for seq and inc): a sweep over
      hundreds of seeds must not accumulate live domains *)
   Lp_runtime.Vm.shutdown vm;
   {
@@ -388,13 +377,8 @@ let run_one ?(faults = true) ?gc_engine ?(gc_domains = 1) ?gc_slice_budget
       | None -> 0);
   }
 
-let shrink ?faults ?gc_engine ?gc_domains ?gc_slice_budget ?gc_packet_size
-    ?gc_steal ?pause_slo_p99_ns ?liveness ?(steps = default_steps) ~seed () =
-  let failing m =
-    failed
-      (run_one ?faults ?gc_engine ?gc_domains ?gc_slice_budget ?gc_packet_size
-         ?gc_steal ?pause_slo_p99_ns ?liveness ~steps:m ~seed ())
-  in
+let shrink ?faults ?config ?(steps = default_steps) ~seed () =
+  let failing m = failed (run_one ?faults ?config ~steps:m ~seed ()) in
   if not (failing steps) then None
   else begin
     (* smallest failing cap: failure at cap [m] means the first failing
@@ -408,12 +392,8 @@ let shrink ?faults ?gc_engine ?gc_domains ?gc_slice_budget ?gc_packet_size
     Some !hi
   end
 
-let run_seeds ?faults ?gc_engine ?gc_domains ?gc_slice_budget ?gc_packet_size
-    ?gc_steal ?pause_slo_p99_ns ?liveness ?steps ?progress ~seeds () =
+let run_seeds ?faults ?config ?steps ?progress ~seeds () =
   List.init seeds (fun i ->
-      let r =
-        run_one ?faults ?gc_engine ?gc_domains ?gc_slice_budget ?gc_packet_size
-          ?gc_steal ?pause_slo_p99_ns ?liveness ?steps ~seed:(i + 1) ()
-      in
+      let r = run_one ?faults ?config ?steps ~seed:(i + 1) () in
       (match progress with Some f -> f r | None -> ());
       r)

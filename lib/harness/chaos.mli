@@ -75,13 +75,7 @@ val outcome_to_string : outcome -> string
 
 val run_one :
   ?faults:bool ->
-  ?gc_engine:Lp_core.Config.gc_engine ->
-  ?gc_domains:int ->
-  ?gc_slice_budget:int ->
-  ?gc_packet_size:int ->
-  ?gc_steal:bool ->
-  ?pause_slo_p99_ns:int ->
-  ?liveness:Lp_core.Config.liveness_mode ->
+  ?config:Lp_core.Config.t ->
   ?steps:int ->
   ?trace_capacity:int ->
   seed:int ->
@@ -89,13 +83,8 @@ val run_one :
   report
 (** One deterministic chaos run. [faults] (default [true]) attaches the
     fault plan [Lp_fault.Fault_plan.random ~seed]; [false] runs the same
-    workload fault-free. [gc_engine] selects the tracing engine behind
-    the VM's full collections ([gc_domains] survives as the legacy
-    alias, reconciled by {!Lp_core.Config.resolve_engine};
-    [gc_slice_budget] bounds the incremental engine's slices;
-    [gc_packet_size] and [gc_steal] tune the parallel engines'
-    packet granularity and steal-vs-legacy round scheduling, both
-    output-neutral). Every
+    workload fault-free. [config] (default {!Lp_core.Config.default})
+    configures the VM: engine, pause SLO, liveness mode and the rest. Every
     engine reproduces the sequential collector's decisions, counters,
     heap state and clock exactly — so every scalar report field must be
     independent of the engine selection, and the trace must match up to
@@ -108,44 +97,30 @@ val run_one :
     configurations. [trace_capacity] attaches an event sink of that
     capacity before the first step; the log lands in {!report.trace}.
     Tracing never changes a run's behaviour — only its observation.
-    [pause_slo_p99_ns] arms the pause-SLO autopilot
-    ({!Lp_core.Config.pause_slo_p99_ns}): the slice budget is then
-    retuned from wall-clock feedback between collections — which keeps
-    every scalar report field bit-identical run to run all the same,
-    because budgets are outcome-neutral and the autopilot's engine
-    choice keys off a deterministic signal.
-    [liveness] (default [Liveness_off]) installs the static liveness
-    oracle over a bytecode model of the chaos program before the first
-    step; off mode leaves every report byte-identical to builds without
-    the oracle. *)
+    An armed pause SLO ({!Lp_core.Config.pause_slo_p99_ns}) retunes the
+    slice budget from wall-clock feedback between collections — which
+    keeps every scalar report field bit-identical run to run all the
+    same, because budgets are outcome-neutral and the autopilot's engine
+    choice keys off a deterministic signal. [Liveness_guide] installs
+    the static liveness oracle over a bytecode model of the chaos
+    program before the first step; [Liveness_off] leaves every report
+    byte-identical to builds without the oracle. *)
 
 val shrink :
   ?faults:bool ->
-  ?gc_engine:Lp_core.Config.gc_engine ->
-  ?gc_domains:int ->
-  ?gc_slice_budget:int ->
-  ?gc_packet_size:int ->
-  ?gc_steal:bool ->
-  ?pause_slo_p99_ns:int ->
-  ?liveness:Lp_core.Config.liveness_mode ->
+  ?config:Lp_core.Config.t ->
   ?steps:int ->
   seed:int ->
   unit ->
   int option
 (** The smallest step cap at which [seed] still fails ([Violation] or
-    [Crash]) under the given engine selection; [None] if it does not
+    [Crash]) under the given configuration; [None] if it does not
     fail at [steps]. Binary search is sound because a capped run is a
     prefix of the full run, so failure at cap [m] is monotone in [m]. *)
 
 val run_seeds :
   ?faults:bool ->
-  ?gc_engine:Lp_core.Config.gc_engine ->
-  ?gc_domains:int ->
-  ?gc_slice_budget:int ->
-  ?gc_packet_size:int ->
-  ?gc_steal:bool ->
-  ?pause_slo_p99_ns:int ->
-  ?liveness:Lp_core.Config.liveness_mode ->
+  ?config:Lp_core.Config.t ->
   ?steps:int ->
   ?progress:(report -> unit) ->
   seeds:int ->

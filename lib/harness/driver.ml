@@ -93,7 +93,7 @@ let run ?(policy = Lp_core.Policy.Default) ?config ?heap_bytes
   | Lp_core.Errors.Internal_error _ as e -> outcome := Pruned_access e
   | Lp_core.Errors.Disk_exhausted _ as e -> outcome := Out_of_disk e
   | Lp_runtime.Diskswap.Out_of_disk _ as e -> outcome := Out_of_disk e);
-  (* joins the collector domains when Config.gc_domains > 1; every
+  (* joins the collector domains of the parallel engines; every
      accessor below stays valid after shutdown *)
   Lp_runtime.Vm.shutdown vm;
   let controller = Lp_runtime.Vm.controller vm in

@@ -163,9 +163,6 @@ let create ?(config = Lp_core.Config.default) ?(cost = Cost.default)
     | Some target_p99_ns ->
       Some
         (Lp_slo.Autopilot.create ~target_p99_ns
-           ~floor:config.Lp_core.Config.slo_budget_floor
-           ~domains:config.Lp_core.Config.slo_domains
-           ~escalate_permille:config.Lp_core.Config.slo_escalate_permille
            ~init_budget:config.Lp_core.Config.gc_slice_budget)
     | None -> None
   in
@@ -270,11 +267,6 @@ let charge_barriers t = t.charge_barriers
 (* The engine currently installed — the config's engine until the
    autopilot's first switch. *)
 let gc_engine t = t.cur_engine
-
-let gc_domains t =
-  match t.cur_engine with
-  | Lp_core.Config.Parallel n | Lp_core.Config.Sliced_bsp n -> n
-  | Lp_core.Config.Sequential | Lp_core.Config.Incremental -> 1
 
 let par_engine t = t.par
 
@@ -523,7 +515,7 @@ let retain_images t =
 let collect_once t =
   (* Mark-site faults are drawn once per full collection whether or not
      the parallel engine is present, so a plan's fault stream (and thus
-     every later draw) is identical at every gc_domains setting. *)
+     every later draw) is identical under every engine. *)
   (match t.fault with
   | Some plan ->
     List.iter

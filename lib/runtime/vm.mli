@@ -135,10 +135,6 @@ val gc_engine : t -> Lp_core.Config.gc_engine
 (** The engine {e currently installed} — the config's engine until the
     first switch. *)
 
-val gc_domains : t -> int
-(** The collector domain count the current engine implies
-    (1 unless [Parallel n] or [Sliced_bsp n]). *)
-
 val par_engine : t -> Lp_par.Par_engine.t option
 (** The concrete parallel engine, present iff the current engine is
     [Parallel n] or [Sliced_bsp n] (fault arming and introspection). *)

@@ -22,11 +22,15 @@
      run, which is what lets the conformance suite replay engine
      schedules. *)
 
+(* The object-count floor under the ns budget, the pool size of the
+   [Sliced_bsp] escalation engine, and the escalation threshold: the
+   predicted stale closure's share of the heap limit, in per-mille. *)
+let slo_budget_floor = 32
+let slo_domains = 2
+let slo_escalate_permille = 125
+
 type t = {
   target_p99_ns : int;
-  floor : int;
-  domains : int;
-  escalate_permille : int;
   window : int array; (* ring of recent pause samples, ns *)
   mutable window_len : int;
   mutable window_pos : int;
@@ -63,22 +67,18 @@ let ki = 0.1
 let kd = 0.2
 let ewma_alpha = 0.3
 
-let create ~target_p99_ns ~floor ~domains ~escalate_permille ~init_budget =
+let create ~target_p99_ns ~init_budget =
   if target_p99_ns < 1 then invalid_arg "Autopilot.create: target_p99_ns < 1";
-  if floor < 1 then invalid_arg "Autopilot.create: floor < 1";
   if init_budget < 1 then invalid_arg "Autopilot.create: init_budget < 1";
   {
     target_p99_ns;
-    floor;
-    domains;
-    escalate_permille;
     window = Array.make window_cap 0;
     window_len = 0;
     window_pos = 0;
     (* Aim for one slice per target pause until feedback arrives. *)
     budget_ns = float_of_int target_p99_ns;
     ns_per_obj = 0.0;
-    budget = max floor init_budget;
+    budget = max slo_budget_floor init_budget;
     integral = 0.0;
     last_err = 0.0;
     escalate_hold = 0;
@@ -123,8 +123,8 @@ let retune t =
   t.budget_ns <- clamp min_ns max_ns (t.budget_ns *. factor)
 
 let budget_objects t =
-  if t.ns_per_obj <= 0.0 then max t.floor t.budget
-  else max t.floor (int_of_float (t.budget_ns /. t.ns_per_obj))
+  if t.ns_per_obj <= 0.0 then max slo_budget_floor t.budget
+  else max slo_budget_floor (int_of_float (t.budget_ns /. t.ns_per_obj))
 
 let note_collection t ~samples ~selection_bytes ~heap_limit =
   let budget_in_effect = max 1 t.budget in
@@ -154,18 +154,18 @@ let note_collection t ~samples ~selection_bytes ~heap_limit =
   if budget_changed then t.adjustments <- t.adjustments + 1;
   t.budget <- new_budget;
   (* Deterministic engine plane: escalate to sliced-BSP when SELECT
-     predicts a stale closure larger than [escalate_permille] of the
+     predicts a stale closure larger than [slo_escalate_permille] of the
      heap, and hold the escalation for two collections so the pool is
      not churned by a single borderline prediction. *)
   if selection_bytes > 0 && heap_limit > 0
-     && selection_bytes * 1000 >= t.escalate_permille * heap_limit
+     && selection_bytes * 1000 >= slo_escalate_permille * heap_limit
   then begin
     if t.escalate_hold = 0 then t.escalations <- t.escalations + 1;
     t.escalate_hold <- 2
   end
   else if t.escalate_hold > 0 then t.escalate_hold <- t.escalate_hold - 1;
   let new_engine =
-    if t.escalate_hold > 0 then Lp_core.Config.Sliced_bsp t.domains
+    if t.escalate_hold > 0 then Lp_core.Config.Sliced_bsp slo_domains
     else Lp_core.Config.Incremental
   in
   let engine_changed = new_engine <> t.engine in

@@ -13,8 +13,8 @@
     boundaries, never what gets reclaimed) while engine choice keys
     off SELECT's predicted bytes, a deterministic signal, so engine
     schedules replay bit-identically. The object-count budget never
-    drops below the configured floor, keeping count-based invariants
-    meaningful on arbitrarily slow hosts. *)
+    drops below a fixed floor of 32 objects, keeping count-based
+    invariants meaningful on arbitrarily slow hosts. *)
 
 type t
 
@@ -28,20 +28,10 @@ type decision = {
   d_engine_changed : bool;
 }
 
-val create :
-  target_p99_ns:int ->
-  floor:int ->
-  domains:int ->
-  escalate_permille:int ->
-  init_budget:int ->
-  t
-(** [floor] is the deterministic object-count floor
-    ([Config.slo_budget_floor]); [domains] the [Sliced_bsp] escalation
-    pool size; [escalate_permille] the stale-closure-size threshold as
-    a fraction of the heap limit; [init_budget] the object budget in
-    effect before any feedback (the config's [gc_slice_budget]).
-    @raise Invalid_argument on a non-positive target, floor or
-    budget. *)
+val create : target_p99_ns:int -> init_budget:int -> t
+(** [init_budget] is the object budget in effect before any feedback
+    (the config's [gc_slice_budget]).
+    @raise Invalid_argument on a non-positive target or budget. *)
 
 val note_collection :
   t ->

@@ -126,6 +126,36 @@ let test_config_validation () =
   (match Lp_core.Config.validate (Lp_core.Config.make ~disk_retry_attempts:(-1) ()) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "negative disk_retry_attempts must be rejected");
+  (* engine spellings: [gc_engine_of_string] inverts [gc_engine_to_string],
+     bare par/bsp mean 2 domains, and [validate] owns the domain range *)
+  List.iter
+    (fun e ->
+      Alcotest.(check bool)
+        (Lp_core.Config.gc_engine_to_string e ^ " round-trips")
+        true
+        (Lp_core.Config.gc_engine_of_string (Lp_core.Config.gc_engine_to_string e)
+         = Some e))
+    Lp_core.Config.
+      [ Sequential; Incremental; Parallel 2; Parallel 4; Parallel 64;
+        Sliced_bsp 2; Sliced_bsp 8 ];
+  Alcotest.(check bool) "bare par and bsp mean 2 domains" true
+    (Lp_core.Config.gc_engine_of_string "par" = Some (Lp_core.Config.Parallel 2)
+     && Lp_core.Config.gc_engine_of_string "bsp"
+        = Some (Lp_core.Config.Sliced_bsp 2));
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (Printf.sprintf "%S is rejected" s) true
+        (Lp_core.Config.gc_engine_of_string s = None))
+    [ ""; "gpu"; "parx"; "par-2"; "par2x" ];
+  List.iter
+    (fun n ->
+      match
+        Lp_core.Config.validate
+          (Lp_core.Config.make ~gc_engine:(Lp_core.Config.Parallel n) ())
+      with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "par%d must be rejected" n)
+    [ 1; 65 ];
   try
     ignore
       (Vm.create

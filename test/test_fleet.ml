@@ -11,12 +11,11 @@ let spec ?(force_safe = false) ~id () =
     heap_bytes = 20_000;
     quota_bytes = 20_000;
     rate_per_mille = 2_000;
-    policy = Lp_core.Policy.Default;
-    force_safe;
+    config =
+      (if force_safe then
+         Lp_core.Config.make ~force_state:Lp_core.State_kind.Safe ()
+       else Lp_core.Config.default);
     resurrection = true;
-    liveness = Lp_core.Config.Liveness_off;
-    pause_slo_p99_ns = None;
-    gc_packet_size = None;
   }
 
 let find_tenant report id =
@@ -174,7 +173,7 @@ let test_teardown_on_unanticipated_error () =
   (try
      ignore
        (Lp_harness.Driver.run
-          ~config:(Lp_core.Config.make ~gc_domains:4 ())
+          ~config:(Lp_core.Config.make ~gc_engine:(Lp_core.Config.Parallel 4) ())
           ~heap_bytes:20_000 ~max_iterations:2_000 corrupting)
    with Lp_core.Errors.Heap_corruption _ -> raised := true);
   Alcotest.(check bool) "the error escaped Driver.run" true !raised;

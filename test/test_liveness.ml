@@ -307,10 +307,11 @@ let test_boost_is_benign_on_list_leak () =
    must not break the chaos contract. Off mode must stay
    byte-identical to a build without the oracle, and guided runs must
    reproduce exactly. *)
+let guide = Lp_core.Config.make ~liveness_mode:Lp_core.Config.Liveness_guide ()
+
 let test_chaos_conformance () =
   let reports =
-    Lp_harness.Chaos.run_seeds ~liveness:Lp_core.Config.Liveness_guide
-      ~seeds:25 ()
+    Lp_harness.Chaos.run_seeds ~config:guide ~seeds:25 ()
   in
   Alcotest.(check int) "25 seeds ran" 25 (List.length reports);
   List.iter
@@ -329,19 +330,15 @@ let test_chaos_off_identical_and_guide_deterministic () =
     (fun seed ->
       let plain = Lp_harness.Chaos.run_one ~seed () in
       let off =
-        Lp_harness.Chaos.run_one ~liveness:Lp_core.Config.Liveness_off ~seed ()
+        Lp_harness.Chaos.run_one
+          ~config:(Lp_core.Config.make ~liveness_mode:Lp_core.Config.Liveness_off ())
+          ~seed ()
       in
       Alcotest.(check bool)
         (Printf.sprintf "seed %d: off mode is byte-identical" seed)
         true (plain = off);
-      let g1 =
-        Lp_harness.Chaos.run_one ~liveness:Lp_core.Config.Liveness_guide ~seed
-          ()
-      in
-      let g2 =
-        Lp_harness.Chaos.run_one ~liveness:Lp_core.Config.Liveness_guide ~seed
-          ()
-      in
+      let g1 = Lp_harness.Chaos.run_one ~config:guide ~seed () in
+      let g2 = Lp_harness.Chaos.run_one ~config:guide ~seed () in
       Alcotest.(check bool)
         (Printf.sprintf "seed %d: guided run reproduces" seed)
         true (g1 = g2))

@@ -3,7 +3,7 @@
    The engine's contract is determinism by construction: every output a
    collection produces — mark bits, counters, prune decisions, events,
    reclaimed bytes, the strict verifier's verdict — is bit-identical at
-   every [Config.gc_domains] setting. The differential oracle here
+   every [Config.gc_engine] setting. The differential oracle here
    sweeps chaos seeds at 1, 2 and 4 domains and compares the full
    reports (traces included, minus the parallel engine's own worker
    events, which only exist when it runs). *)
@@ -68,10 +68,10 @@ let test_merge_identity () =
    fans the mark frontier out past the packet size, so multi-packet
    pooled rounds actually run at 4 domains. *)
 
-let build_wide_vm ?(gc_steal = true) ~gc_domains () =
+let build_wide_vm ?(gc_steal = true) ~gc_engine () =
   let vm =
     Lp_runtime.Vm.create
-      ~config:(Lp_core.Config.make ~gc_domains ~gc_steal ())
+      ~config:(Lp_core.Config.make ~gc_engine ~gc_steal ())
       ~heap_bytes:600_000 ()
   in
   let statics = Lp_runtime.Vm.statics vm ~class_name:"Wide" ~n_fields:300 in
@@ -89,8 +89,8 @@ let build_wide_vm ?(gc_steal = true) ~gc_domains () =
   done;
   (vm, statics)
 
-let run_wide ?(gc_steal = true) ~gc_domains () =
-  let vm, statics = build_wide_vm ~gc_steal ~gc_domains () in
+let run_wide ?(gc_steal = true) ~gc_engine () =
+  let vm, statics = build_wide_vm ~gc_steal ~gc_engine () in
   for _ = 1 to 3 do
     Lp_runtime.Vm.run_gc vm
   done;
@@ -113,10 +113,11 @@ let run_wide ?(gc_steal = true) ~gc_domains () =
   (stats, List.rev !live, pooled, dispatches)
 
 let test_wide_heap_equivalence () =
-  let seq_stats, seq_live, _, _ = run_wide ~gc_domains:1 () in
-  let par_stats, par_live, pooled, dispatches = run_wide ~gc_domains:4 () in
+  let par4 = Lp_core.Config.Parallel 4 in
+  let seq_stats, seq_live, _, _ = run_wide ~gc_engine:Sequential () in
+  let par_stats, par_live, pooled, dispatches = run_wide ~gc_engine:par4 () in
   let off_stats, off_live, off_pooled, off_dispatches =
-    run_wide ~gc_steal:false ~gc_domains:4 ()
+    run_wide ~gc_steal:false ~gc_engine:par4 ()
   in
   Alcotest.(check bool) "identical collector counters" true
     (seq_stats = par_stats);
@@ -137,7 +138,7 @@ let test_wide_heap_equivalence () =
     (Lp_par.Domain_pool.active_count ())
 
 let test_pool_shutdown_idempotent () =
-  let vm, _ = build_wide_vm ~gc_domains:2 () in
+  let vm, _ = build_wide_vm ~gc_engine:(Lp_core.Config.Parallel 2) () in
   Lp_runtime.Vm.run_gc vm;
   Alcotest.(check bool) "pool live while the VM runs" true
     (Lp_par.Domain_pool.active_count () > 0);
@@ -231,15 +232,19 @@ let reclaimed_total (r : Lp_harness.Chaos.report) =
 let test_differential_oracle () =
   let mismatches = ref [] in
   for seed = 1 to differential_seeds do
-    let run ?gc_packet_size ~gc_steal gc_domains =
-      Lp_harness.Chaos.run_one ~gc_domains ?gc_packet_size ~gc_steal
-        ~trace_capacity:65_536 ~seed ()
+    let run config =
+      Lp_harness.Chaos.run_one ~config ~trace_capacity:65_536 ~seed ()
+    in
+    let run_par ?gc_packet_size ~gc_steal d =
+      run
+        (Lp_core.Config.make ~gc_engine:(Parallel d) ?gc_packet_size ~gc_steal
+           ())
     in
     let run_inc budget =
-      Lp_harness.Chaos.run_one ~gc_engine:Lp_core.Config.Incremental
-        ~gc_slice_budget:budget ~trace_capacity:65_536 ~seed ()
+      run
+        (Lp_core.Config.make ~gc_engine:Incremental ~gc_slice_budget:budget ())
     in
-    let r1 = run ~gc_steal:true 1 in
+    let r1 = run Lp_core.Config.default in
     (* every pooled width, stealing and legacy claim both; the stealing
        runs use an 8-object packet so rounds are multi-packet and the
        deques actually get contended *)
@@ -247,9 +252,9 @@ let test_differential_oracle () =
       List.concat_map
         (fun d ->
           [
-            (Printf.sprintf "par%d" d, run ~gc_steal:false d);
+            (Printf.sprintf "par%d" d, run_par ~gc_steal:false d);
             ( Printf.sprintf "par%ds" d,
-              run ~gc_packet_size:8 ~gc_steal:true d );
+              run_par ~gc_packet_size:8 ~gc_steal:true d );
           ])
         [ 2; 4; 8 ]
     in

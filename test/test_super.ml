@@ -254,12 +254,8 @@ let spec ~id () =
     heap_bytes = 14_000;
     quota_bytes = 14_000;
     rate_per_mille = 2_200;
-    policy = Lp_core.Policy.Default;
-    force_safe = false;
+    config = Lp_core.Config.default;
     resurrection = true;
-    liveness = Lp_core.Config.Liveness_off;
-    pause_slo_p99_ns = None;
-    gc_packet_size = None;
   }
 
 (* single-tenant runs: trip bar 1000 permille keeps the (strict) breaker
