@@ -392,7 +392,7 @@ let collect ?on_finalize ?on_poison ?before_sweep t store roots ~stats =
           Edge_table.add_bytes t.table
             ~src:edge.Collector.src.Heap_obj.class_id
             ~tgt:edge.Collector.tgt.Heap_obj.class_id bytes)
-      (Trace_common.canonical_candidates deferred);
+      (Collector.canonical_candidates deferred);
     t.engine.Trace_engine.end_stale ~gc:t.gc_count ~events:t.sink;
     phase_end t "stale_closure"
       (stats.Gc_stats.stale_closure_objects - claimed_before);

@@ -66,11 +66,17 @@ let run ?(policy = Lp_core.Policy.Default) ?config ?heap_bytes
       ~field_map:w.Lp_workloads.Workload.field_map
   | (Lp_core.Config.Liveness_guide | Lp_core.Config.Liveness_off), _ -> ());
   let iteration = ref 0 in
-  let series = ref [] in
-  Lp_runtime.Vm.set_gc_listener vm
-    (Some
-       (fun r ->
-         series := (!iteration, r.Lp_runtime.Vm.live_bytes_after) :: !series));
+  (* (iteration, GC count at its end) for each iteration that collected,
+     newest first; [reachable_series] labels each collection in the VM's
+     history with the iteration it ran in, so the driver installs no
+     listener and leaves [prepare_vm]'s in place. *)
+  let ends = ref [] in
+  let note_end () =
+    let n = Lp_runtime.Vm.gc_count vm in
+    match !ends with
+    | (_, m) :: _ when m = n -> ()
+    | _ -> ends := (!iteration, n) :: !ends
+  in
   let cap =
     match w.Lp_workloads.Workload.fixed_iterations with
     | Some n -> min n max_iterations
@@ -85,6 +91,7 @@ let run ?(policy = Lp_core.Policy.Default) ?config ?heap_bytes
        iterate ();
        if record_iteration_cycles then
          cycles_log := Lp_runtime.Vm.cycles vm - before :: !cycles_log;
+       note_end ();
        incr iteration
      done;
      if w.Lp_workloads.Workload.fixed_iterations <> None then outcome := Completed
@@ -93,6 +100,15 @@ let run ?(policy = Lp_core.Policy.Default) ?config ?heap_bytes
   | Lp_core.Errors.Internal_error _ as e -> outcome := Pruned_access e
   | Lp_core.Errors.Disk_exhausted _ as e -> outcome := Out_of_disk e
   | Lp_runtime.Diskswap.Out_of_disk _ as e -> outcome := Out_of_disk e);
+  (* collections of an iteration that raised *)
+  note_end ();
+  let rec label acc ends (history : Lp_runtime.Vm.gc_record list) =
+    match (history, ends) with
+    | r :: rest, (k, n) :: _ when r.Lp_runtime.Vm.gc_number <= n ->
+      label ((k, r.Lp_runtime.Vm.live_bytes_after) :: acc) ends rest
+    | _ :: _, _ :: ends -> label acc ends history
+    | [], _ | _, [] -> List.rev acc
+  in
   (* joins the collector domains of the parallel engines; every
      accessor below stays valid after shutdown *)
   Lp_runtime.Vm.shutdown vm;
@@ -121,7 +137,8 @@ let run ?(policy = Lp_core.Policy.Default) ?config ?heap_bytes
     mispredictions = Lp_core.Controller.mispredictions controller;
     liveness_vetoes = Lp_core.Controller.liveness_vetoes controller;
     liveness_boosts = Lp_core.Controller.liveness_boosts controller;
-    reachable_series = List.rev !series;
+    reachable_series =
+      label [] (List.rev !ends) (Lp_runtime.Vm.gc_history vm);
     iteration_cycles = Array.of_list (List.rev !cycles_log);
   }
 

@@ -74,7 +74,8 @@ val run :
     [resurrection] is forwarded to [Vm.create] so misprediction
     experiments can recover mispruned data. [prepare_vm] runs on the
     freshly created VM before the workload's [prepare] — the hook the
-    trace CLI and tests use to attach an event sink. When the config's
+    trace CLI and tests use to attach an event sink or a GC listener
+    (the driver installs no listener of its own). When the config's
     [liveness_mode] is [Liveness_guide] and the workload publishes
     [bytecode], the static oracle is installed (after [prepare_vm], so
     an attached sink sees the verdict events). *)

@@ -85,21 +85,16 @@ type t = {
   mutable packet_recoveries : int;
   mutable steal_races : int;
   (* Sliced-BSP mode: when set, each BSP round's packets are executed
-     and merged in groups of at most [slice_budget / packet_size]
-     packets, every group recorded as one bounded pause slice, and the
-     sweep runs through [Trace_common.sliced_sweep]. [None] is the
-     classic whole-round engine. *)
-  mutable slice_budget : int option;
-  mutable pauses : (Trace_engine.pause_phase * int) list;  (* reverse *)
-  mutable max_slice : int;  (* most frontier objects scanned per slice *)
+     and merged in groups of at most [budget / packet_size] packets,
+     every group recorded as one bounded pause slice, and the sweep runs
+     in budget-sized segments. [None] is the classic whole-round
+     engine. *)
+  recorder : Trace_engine.recorder option;
 }
 
 let create ?(packet_size = 32) ?(inline_threshold = 16) ?(steal = true)
     ?slice_budget pool =
   if packet_size < 1 then invalid_arg "Par_engine.create: packet_size < 1";
-  (match slice_budget with
-  | Some b when b < 1 -> invalid_arg "Par_engine.create: slice_budget < 1"
-  | Some _ | None -> ());
   let d = Domain_pool.domains pool in
   {
     pool;
@@ -118,26 +113,9 @@ let create ?(packet_size = 32) ?(inline_threshold = 16) ?(steal = true)
     steals = 0;
     packet_recoveries = 0;
     steal_races = 0;
-    slice_budget;
-    pauses = [];
-    max_slice = 0;
+    recorder =
+      Option.map (fun budget -> Trace_engine.recorder ~budget) slice_budget;
   }
-
-let slice_budget t = t.slice_budget
-
-let set_slice_budget t budget =
-  if budget < 1 then invalid_arg "Par_engine.set_slice_budget: budget < 1";
-  match t.slice_budget with
-  | None ->
-    invalid_arg "Par_engine.set_slice_budget: engine is not in sliced mode"
-  | Some _ -> t.slice_budget <- Some budget
-
-let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
-
-let record_pause t phase slice_start =
-  let now = now_ns () in
-  t.pauses <- (phase, now - !slice_start) :: t.pauses;
-  slice_start := now
 
 let domains t = Domain_pool.domains t.pool
 
@@ -260,13 +238,13 @@ let packets_for t n =
 
 (* --- the in-use / stale closure scan ------------------------------- *)
 
-(* Scans one packet's slice of [frontier]. Mirrors
-   [Collector.scan_object] field for field, except that instead of
-   marking and pushing discovered targets it records them (marking is
-   the coordinator's job at the merge), and poison-word writes, events
-   and note application are deferred to the merge too. The only heap
-   words written here are owned exclusively by this packet: untouched
-   bits and quarantine poisons of its own objects' fields. *)
+(* Scans one packet's slice of [frontier]. Makes [Collector]'s per-field
+   decisions, except that instead of claiming and pushing discovered
+   targets it records them (claiming is the coordinator's job at the
+   merge), and poison-word writes, events and note application are
+   deferred to the merge too. The only heap words written here are
+   owned exclusively by this packet: untouched bits and quarantine
+   poisons of its own objects' fields. *)
 let scan_packet store ~(config : Collector.mark_config) ~edge_note frontier
     (p : packet) =
   let fields_scanned = ref 0 and untouched_set = ref 0 in
@@ -360,18 +338,11 @@ let verify_seal (p : packet) =
   done;
   !s = p.seal
 
-(* What the coordinator does with a marked-and-merged discovered id.
-   In-use claims defer their staleness ticks into the shared
-   [Trace_common.tick_batch]; [mark] flushes it after the closure
-   finishes, same end-of-phase batching as every other engine. *)
-type claim_mode =
-  | Claim_mark of Trace_common.tick_batch  (* deferred mark-phase ticks *)
-  | Claim_stale of int ref  (* stale closure: stale bit + byte count *)
-
 (* Merges one round's packets in index order: validates (and if needed
    recovers) each discovery buffer first, then applies counter shards,
    flushes buffered events, performs the deferred poison-word writes,
-   applies notes, and marks + re-fronts discovered targets. All heap
+   applies notes, and claims + re-fronts discovered targets ([claim] is
+   [Collector.claim_in_use] or [Collector.claim_stale]). All heap
    mutation that other packets could have observed happens here, on the
    coordinator, between rounds. *)
 let merge_round t store ~gc ~(config : Collector.mark_config) ~apply_note
@@ -458,19 +429,7 @@ let merge_round t store ~gc ~(config : Collector.mark_config) ~apply_note
         let id = p.disc.a.(j) in
         let obj = Store.get store id in
         if not (Header.marked obj.Heap_obj.header) then begin
-          (match claim with
-          | Claim_mark batch ->
-            obj.Heap_obj.header <- Header.set_marked obj.Heap_obj.header;
-            stats.Gc_stats.objects_marked <- stats.Gc_stats.objects_marked + 1;
-            Trace_common.defer_tick batch ~config obj
-          | Claim_stale bytes ->
-            obj.Heap_obj.header <-
-              Header.set_stale_marked (Header.set_marked obj.Heap_obj.header);
-            stats.Gc_stats.objects_marked <- stats.Gc_stats.objects_marked + 1;
-            Collector.tick stats config.Collector.stale_tick_gc obj;
-            stats.Gc_stats.stale_closure_objects <-
-              stats.Gc_stats.stale_closure_objects + 1;
-            bytes := !bytes + obj.Heap_obj.size_bytes);
+          claim obj;
           buf_push next id
         end
       done)
@@ -559,7 +518,7 @@ let drive t ~do_round frontier next =
 (* One mark/stale round over frontier [f] into [next].
 
    In sliced-BSP mode a round's packets are executed and merged in
-   groups of at most [slice_budget / packet_size] packets, one pause
+   groups of at most [budget / packet_size] packets, one pause
    sample per group. The grouped schedule is outcome-identical to the
    whole-round schedule: a later group's scan may see mark bits set by
    an earlier group's merge, but the only consequence is that a target
@@ -575,7 +534,7 @@ let drive t ~do_round frontier next =
 let mark_round t store ~gc ~config ~edge_note ~apply_note ~stats ~claim
     ~deferred_acc ~shards sess f next =
   let packets = packets_for t f.len in
-  match t.slice_budget with
+  match t.recorder with
   | None ->
     execute_round t ~sess ~frontier_len:f.len
       ~scan:(scan_packet store ~config ~edge_note f)
@@ -583,11 +542,11 @@ let mark_round t store ~gc ~config ~edge_note ~apply_note ~stats ~claim
     attribute_work shards packets;
     merge_round t store ~gc ~config ~apply_note ~stats ~claim ~deferred_acc f
       next packets
-  | Some budget ->
-    let group_sz = max 1 (budget / t.packet_size) in
+  | Some r ->
+    let group_sz = max 1 (Trace_engine.slice_budget r / t.packet_size) in
     let n = Array.length packets in
     let start = ref 0 in
-    let slice_start = ref (now_ns ()) in
+    Trace_engine.start_slice r;
     while !start < n do
       let len = min group_sz (n - !start) in
       let group = Array.sub packets !start len in
@@ -600,8 +559,7 @@ let mark_round t store ~gc ~config ~edge_note ~apply_note ~stats ~claim
       let scanned =
         Array.fold_left (fun acc p -> acc + (p.hi - p.lo)) 0 group
       in
-      if scanned > t.max_slice then t.max_slice <- scanned;
-      record_pause t Trace_engine.Mark_slice slice_start;
+      Trace_engine.record_slice r Trace_engine.Mark_slice ~work:scanned;
       start := !start + len
     done
 
@@ -617,20 +575,18 @@ let mark t ~gc ?edge_note ?apply_note store roots ~stats ~config =
   Array.fill t.work_shards 0 (Array.length t.work_shards) 0;
   reset_steal_shards t;
   let frontier = buf_make 256 in
-  let batch = Trace_common.tick_batch () in
+  let batch = Collector.tick_batch config.Collector.stale_tick_gc in
   Roots.iter roots (fun id ->
       let obj = Store.get store id in
       if not (Header.marked obj.Heap_obj.header) then begin
-        obj.Heap_obj.header <- Header.set_marked obj.Heap_obj.header;
-        stats.Gc_stats.objects_marked <- stats.Gc_stats.objects_marked + 1;
-        Trace_common.defer_tick batch ~config obj;
+        Collector.claim_in_use stats batch obj;
         buf_push frontier obj.Heap_obj.id
       end);
   let deferred = ref [] in
   run_closure t store ~gc ~config ~edge_note ~apply_note ~stats
-    ~claim:(Claim_mark batch) ~deferred_acc:deferred ~shards:t.work_shards
-    frontier;
-  Trace_common.flush_ticks stats config.Collector.stale_tick_gc batch;
+    ~claim:(Collector.claim_in_use stats batch) ~deferred_acc:deferred
+    ~shards:t.work_shards frontier;
+  Collector.flush_ticks stats batch;
   emit_worker_spans ~gc ~phase:"mark" ~events:config.Collector.events
     t.work_shards;
   emit_steal_spans t ~gc ~phase:"steal:mark" ~events:config.Collector.events;
@@ -656,21 +612,12 @@ let stale_closure t ~gc ?events store ~stats ~set_untouched_bits ~stale_tick_gc
       }
     in
     let bytes = ref 0 in
-    (* Claim the candidate target itself, exactly like the sequential
-       closure's first [claim]. *)
-    tgt.Heap_obj.header <-
-      Header.set_stale_marked (Header.set_marked tgt.Heap_obj.header);
-    stats.Gc_stats.objects_marked <- stats.Gc_stats.objects_marked + 1;
-    Collector.tick stats stale_tick_gc tgt;
-    stats.Gc_stats.stale_closure_objects <-
-      stats.Gc_stats.stale_closure_objects + 1;
-    bytes := !bytes + tgt.Heap_obj.size_bytes;
+    let claim = Collector.claim_stale stats ~stale_tick_gc ~bytes in
+    claim tgt;
     let frontier = buf_make 32 in
     buf_push frontier tgt.Heap_obj.id;
-    let deferred = ref [] in
     run_closure t store ~gc ~config ~edge_note:None ~apply_note:None ~stats
-      ~claim:(Claim_stale bytes) ~deferred_acc:deferred ~shards:t.stale_shards
-      frontier;
+      ~claim ~deferred_acc:(ref []) ~shards:t.stale_shards frontier;
     !bytes
   end
 
@@ -681,19 +628,12 @@ let end_stale t ~gc ~events =
 
 (* --- parallel sweep ------------------------------------------------ *)
 
-let sliced_sweep t store ~stats ~budget =
-  let slice_start = ref (now_ns ()) in
-  Trace_common.sliced_sweep store ~stats ~seg_slots:budget
-    ~on_segment:(fun () ->
-      record_pause t Trace_engine.Sweep_slice slice_start)
-
 let sweep t ~gc ?events store ~stats =
-  match t.slice_budget with
+  match t.recorder with
   (* Sliced mode: the pause bound matters more than sweep parallelism
      (segments swept on the pool would all land inside one pause), so
-     sweep bounded segments on the coordinator; the shared helper
-     reproduces the sequential free order. *)
-  | Some budget -> sliced_sweep t store ~stats ~budget
+     sweep bounded segments on the coordinator. *)
+  | Some r -> Trace_engine.sweep r store ~stats
   | None ->
   let n_slots = Store.slot_count store in
   let d = domains t in
@@ -804,7 +744,7 @@ let minor_drain t store ~queue ~slots_scanned =
 let engine t =
   {
     Trace_engine.name =
-      (match t.slice_budget with
+      (match t.recorder with
       | Some _ -> Printf.sprintf "bsp%d" (domains t)
       | None -> Printf.sprintf "par%d" (domains t));
     mark =
@@ -822,11 +762,6 @@ let engine t =
         (fun store ~queue ~slots_scanned ->
           minor_drain t store ~queue ~slots_scanned);
     note_mutation = None;
-    take_pauses =
-      (fun () ->
-        let p = List.rev t.pauses in
-        t.pauses <- [];
-        p);
-    max_slice_work = (fun () -> t.max_slice);
+    recorder = t.recorder;
     shutdown = (fun () -> Domain_pool.shutdown t.pool);
   }

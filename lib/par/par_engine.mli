@@ -28,7 +28,10 @@
       [~steal:false], as the control for the coordination-overhead
       bench gate).
     - Between rounds the coordinator merges packet buffers in packet
-      order. Since packet order equals frontier order, the merged
+      order, claiming each discovered target through
+      {!Lp_heap.Collector.claim_in_use} or
+      {!Lp_heap.Collector.claim_stale}, the claims every engine uses.
+      Since packet order equals frontier order, the merged
       output is identical for every domain count, packet boundary and
       worker schedule.
     - Per-packet counter shards are summed into {!Lp_heap.Gc_stats} at
@@ -64,22 +67,15 @@ val create :
     par+inc composition): each BSP round's packets are executed and
     merged in groups of at most [slice_budget / packet_size] packets —
     so no pause slice scans more than ~[slice_budget] frontier objects
-    — and the sweep runs through {!Lp_heap.Trace_common.sliced_sweep}
-    in [slice_budget]-slot segments. Every slice lands as a
-    phase-tagged pause sample in the engine's [take_pauses]. The
+    — and the sweep runs through {!Lp_heap.Collector.sweep} in
+    [slice_budget]-slot segments. Every slice lands as a phase-tagged
+    pause sample in the engine's {!Lp_heap.Trace_engine.recorder}, which
+    also holds the budget the pause-SLO autopilot retunes. The
     grouped schedule is outcome-identical to the whole-round schedule
     (see the argument in the implementation); the differential oracle
     enforces it. *)
 
 val domains : t -> int
-
-val slice_budget : t -> int option
-(** [Some budget] iff the engine is in sliced-BSP mode. *)
-
-val set_slice_budget : t -> int -> unit
-(** Retunes the slice budget between collections (the pause-SLO
-    autopilot's actuator); outcome-neutral. [Invalid_argument] if the
-    budget is [< 1] or the engine is not in sliced mode. *)
 
 val mark :
   t ->

@@ -26,13 +26,12 @@ type t = {
   fault : Lp_fault.Fault_plan.t option;
   (* The tracing engine behind every full collection
      (Config.gc_engine). Mutable: the pause-SLO autopilot swaps
-     engines between collections ([switch_engine]); [par]/[inc] keep
-     the concrete engine around for fault arming, budget retuning and
-     introspection when that engine is current. [cur_engine] is the
-     Config-level spec of the engine installed right now. *)
+     engines between collections ([switch_engine]); [par] keeps the
+     concrete parallel engine around for fault arming and introspection
+     when that engine is current. [cur_engine] is the Config-level spec
+     of the engine installed right now. *)
   mutable engine : Trace_engine.t;
   mutable par : Lp_par.Par_engine.t option;
-  mutable inc : Inc_engine.t option;
   mutable cur_engine : Lp_core.Config.gc_engine;
   (* Slice high-water marks of engines already shut down by a switch;
      [max_slice_work] folds the live engine's figure over this. *)
@@ -66,18 +65,17 @@ type t = {
    packet-index merge. *)
 let build_engine ~budget ~packet_size ~steal spec =
   match spec with
-  | Lp_core.Config.Sequential -> (Trace_engine.sequential (), None, None)
+  | Lp_core.Config.Sequential -> (Trace_engine.sequential (), None)
   | Lp_core.Config.Parallel domains ->
     let pool = Lp_par.Domain_pool.create ~domains in
     let pe = Lp_par.Par_engine.create ~packet_size ~steal pool in
-    (Lp_par.Par_engine.engine pe, Some pe, None)
+    (Lp_par.Par_engine.engine pe, Some pe)
   | Lp_core.Config.Incremental ->
-    let ie = Inc_engine.create ~slice_budget:budget () in
-    (Inc_engine.engine ie, None, Some ie)
+    (Inc_engine.engine (Inc_engine.create ~slice_budget:budget ()), None)
   | Lp_core.Config.Sliced_bsp domains ->
     let pool = Lp_par.Domain_pool.create ~domains in
     let pe = Lp_par.Par_engine.create ~packet_size ~steal ~slice_budget:budget pool in
-    (Lp_par.Par_engine.engine pe, Some pe, None)
+    (Lp_par.Par_engine.engine pe, Some pe)
 
 let create ?(config = Lp_core.Config.default) ?(cost = Cost.default)
     ?(charge_barriers = true) ?disk ?swap_backend ?swap_store
@@ -154,7 +152,7 @@ let create ?(config = Lp_core.Config.default) ?(cost = Cost.default)
              image
              (Lp_fault.Fault_plan.check plan Lp_fault.Fault_plan.Swap)))
   | None -> ());
-  let engine, par, inc = build_engine ~budget:config.Lp_core.Config.gc_slice_budget
+  let engine, par = build_engine ~budget:config.Lp_core.Config.gc_slice_budget
       ~packet_size:config.Lp_core.Config.gc_packet_size
       ~steal:config.Lp_core.Config.gc_steal
       config.Lp_core.Config.gc_engine in
@@ -187,7 +185,6 @@ let create ?(config = Lp_core.Config.default) ?(cost = Cost.default)
     fault;
     engine;
     par;
-    inc;
     cur_engine = config.Lp_core.Config.gc_engine;
     max_slice_seen = 0;
     autopilot;
@@ -282,7 +279,7 @@ let max_pause_ns t =
   List.fold_left (fun acc (_, ns) -> max acc ns) 0 t.pause_samples
 
 let max_slice_work t =
-  max t.max_slice_seen (t.engine.Trace_engine.max_slice_work ())
+  max t.max_slice_seen (Trace_engine.max_slice_work t.engine)
 
 (* Releases whatever the engine holds (the parallel engines join their
    collector domains; the others hold nothing). Idempotent; callers
@@ -294,11 +291,9 @@ let shutdown t = t.engine.Trace_engine.shutdown ()
    engines — the autopilot never installs one, but a user-forced
    sliced engine under SLO keeps working through this same path. *)
 let apply_budget t budget =
-  match (t.inc, t.par) with
-  | Some ie, _ -> Inc_engine.set_slice_budget ie budget
-  | None, Some pe when Lp_par.Par_engine.slice_budget pe <> None ->
-    Lp_par.Par_engine.set_slice_budget pe budget
-  | None, (Some _ | None) -> ()
+  match t.engine.Trace_engine.recorder with
+  | Some r -> Trace_engine.set_slice_budget r budget
+  | None -> ()
 
 (* Engine swap at a collection boundary. Safe exactly because every
    engine produces identical reclamation outcomes (the determinism
@@ -311,7 +306,7 @@ let switch_engine t spec =
   if spec <> t.cur_engine then begin
     let from_engine = t.engine.Trace_engine.name in
     t.max_slice_seen <-
-      max t.max_slice_seen (t.engine.Trace_engine.max_slice_work ());
+      max t.max_slice_seen (Trace_engine.max_slice_work t.engine);
     t.engine.Trace_engine.shutdown ();
     let budget =
       match t.autopilot with
@@ -320,13 +315,12 @@ let switch_engine t spec =
         (Lp_core.Controller.config t.controller).Lp_core.Config.gc_slice_budget
     in
     let cfg = Lp_core.Controller.config t.controller in
-    let engine, par, inc =
+    let engine, par =
       build_engine ~budget ~packet_size:cfg.Lp_core.Config.gc_packet_size
         ~steal:cfg.Lp_core.Config.gc_steal spec
     in
     t.engine <- engine;
     t.par <- par;
-    t.inc <- inc;
     t.cur_engine <- spec;
     Lp_core.Controller.set_engine t.controller engine;
     match t.sink with
@@ -623,7 +617,7 @@ let run_gc t =
      was slice-bounded. A monolithic engine contributes the whole
      collection as one [Monolithic] sample. *)
   let samples =
-    match t.engine.Trace_engine.take_pauses () with
+    match Trace_engine.take_pauses t.engine with
     | [] -> [ (Trace_engine.Monolithic, total_ns) ]
     | slices -> (
       let in_slices = List.fold_left (fun acc (_, ns) -> acc + ns) 0 slices in

@@ -313,8 +313,9 @@ val log_gc_write : t -> src:Heap_obj.t -> field:int -> unit
     reference store. *)
 
 val set_gc_listener : t -> (gc_record -> unit) option -> unit
-(** Invoked after every collection; used by the harness to record the
-    reachable-memory series of Figures 1 and 9. *)
+(** Invoked after every collection; replaces any previous listener. The
+    harness driver installs none (it reads {!gc_history}), so a listener
+    set from its [prepare_vm] sees every collection. *)
 
 val gc_history : t -> gc_record list
 (** All collections so far, oldest first. *)

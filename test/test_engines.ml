@@ -3,10 +3,11 @@
    engine's heap in the same state — same claimed bytes, same survivors,
    same poisoned words, same recycled identifiers, same counters. The
    suite instantiates one scenario per engine (sequential, parallel on 2
-   domains, incremental at an 8-object slice budget) and compares the
-   full summaries against the sequential baseline, plus the incremental
-   engine's own machinery: slicing under a tiny budget and the
-   mutation-log replay that would make concurrent slices sound. *)
+   domains, incremental and sliced BSP at an 8-object and at a max_int
+   slice budget) and compares the full summaries against the sequential
+   baseline, plus the incremental engine's own machinery: slicing under
+   a tiny budget and the mutation-log replay that would make concurrent
+   slices sound. *)
 
 open Lp_heap
 
@@ -18,6 +19,20 @@ let factories =
         Lp_par.Par_engine.engine
           (Lp_par.Par_engine.create (Lp_par.Domain_pool.create ~domains:2)) );
     ("inc8", fun () -> Inc_engine.engine (Inc_engine.create ~slice_budget:8 ()));
+    ( "bsp2",
+      fun () ->
+        Lp_par.Par_engine.engine
+          (Lp_par.Par_engine.create ~slice_budget:8
+             (Lp_par.Domain_pool.create ~domains:2)) );
+    (* a budget near max_int: one slice and one sweep segment, which
+       must still sweep the whole store *)
+    ( "inc-max",
+      fun () -> Inc_engine.engine (Inc_engine.create ~slice_budget:max_int ()) );
+    ( "bsp2-max",
+      fun () ->
+        Lp_par.Par_engine.engine
+          (Lp_par.Par_engine.create ~slice_budget:max_int
+             (Lp_par.Domain_pool.create ~domains:2)) );
     (* steal-heavy: one object per packet and no inline threshold, so
        every round is dealt to the deques and cross-worker stealing is
        as dense as the engine can make it *)
@@ -83,7 +98,7 @@ let run_scenario make =
           events = None;
         }
   in
-  let candidates = Trace_common.canonical_candidates deferred in
+  let candidates = Collector.canonical_candidates deferred in
   e.Trace_engine.begin_stale ();
   let claimed =
     List.fold_left
@@ -175,9 +190,9 @@ let test_inc_slicing_respects_budget () =
   e.Trace_engine.sweep ~gc:1 store ~stats;
   Alcotest.(check int) "all 11 objects marked" 11 stats.Gc_stats.objects_marked;
   Alcotest.(check int) "max slice work bounded by the budget" 1
-    (e.Trace_engine.max_slice_work ());
+    (Trace_engine.max_slice_work e);
   Alcotest.(check bool) "at least 11 slices ran" true (Inc_engine.slices inc >= 11);
-  let pauses = e.Trace_engine.take_pauses () in
+  let pauses = Trace_engine.take_pauses e in
   let count ph = List.length (List.filter (fun (p, _) -> p = ph) pauses) in
   Alcotest.(check int) "one Mark_slice sample per mark slice"
     (Inc_engine.slices inc)
@@ -187,7 +202,7 @@ let test_inc_slicing_respects_budget () =
   Alcotest.(check int) "a sliced engine never reports Monolithic" 0
     (count Trace_engine.Monolithic);
   Alcotest.(check int) "take_pauses drains" 0
-    (List.length (e.Trace_engine.take_pauses ()))
+    (List.length (Trace_engine.take_pauses e))
 
 (* Mid-run engine switching: the pause-SLO autopilot swaps engines
    between collections (through Controller.set_engine), which is only
@@ -248,7 +263,7 @@ let run_switch_scenario ~seed schedule =
         (e.Trace_engine.mark ~gc store roots ~stats
            ~config:Collector.base_config);
       e.Trace_engine.sweep ~gc store ~stats;
-      ignore (e.Trace_engine.take_pauses ());
+      ignore (Trace_engine.take_pauses e);
       e.Trace_engine.shutdown ();
       mutate ();
       (live_ids store, Store.object_count store, Gc_stats.copy stats))

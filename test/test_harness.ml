@@ -69,6 +69,26 @@ let test_driver_records_series_and_outcome () =
   in
   Alcotest.(check bool) "series ordered" true (sorted r.Lp_harness.Driver.reachable_series)
 
+(* A listener installed in [prepare_vm] stays in place: the driver
+   builds its series from the VM's collection history instead of
+   installing a listener of its own. The run ends out of memory, so the
+   collections of the failing iteration are covered too. *)
+let test_driver_keeps_prepare_listener () =
+  let seen = ref [] in
+  let r =
+    Lp_harness.Driver.run ~policy:Lp_core.Policy.None_ ~max_iterations:400
+      ~prepare_vm:(fun vm ->
+        Lp_runtime.Vm.set_gc_listener vm
+          (Some (fun g -> seen := g.Lp_runtime.Vm.live_bytes_after :: !seen)))
+      Lp_workloads.List_leak.workload
+  in
+  Alcotest.(check bool) "collections ran" true (r.Lp_harness.Driver.gc_count > 0);
+  Alcotest.(check int) "listener fired once per collection"
+    r.Lp_harness.Driver.gc_count (List.length !seen);
+  Alcotest.(check (list int)) "series covers the same collections"
+    (List.rev !seen)
+    (List.map snd r.Lp_harness.Driver.reachable_series)
+
 let test_driver_survival_factor () =
   let base =
     { (Lp_harness.Driver.run ~policy:Lp_core.Policy.None_ ~max_iterations:10
@@ -89,4 +109,6 @@ let suite =
       Alcotest.test_case "csv disabled" `Quick test_csv_disabled_is_noop;
       Alcotest.test_case "driver records" `Quick test_driver_records_series_and_outcome;
       Alcotest.test_case "survival factor" `Quick test_driver_survival_factor;
+      Alcotest.test_case "driver keeps a prepare_vm listener" `Quick
+        test_driver_keeps_prepare_listener;
     ] )
